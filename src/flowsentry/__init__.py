@@ -17,7 +17,6 @@ from .evaluator import (
     pr_across_percentiles,
 )
 from .ingest import (
-    FlowRecord,
     FlowSchema,
     FlowTable,
     NormalizationStats,
@@ -53,7 +52,6 @@ __all__ = [
     "AutoencoderModel",
     "ConfusionCounts",
     "EvalReport",
-    "FlowRecord",
     "FlowSchema",
     "FlowTable",
     "FreezeSpec",

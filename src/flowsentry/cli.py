@@ -18,7 +18,7 @@ from .artifact import load_artifact, save_artifact
 from .config import PipelineConfig, load_config_values
 from .detector import calibrate, classify_many
 from .errors import DimensionMismatch, FlowSentryError
-from .evaluator import benign_latent_codes, evaluate_detector
+from .evaluator import evaluate_detector
 from .ingest import FlowSchema, FlowTable, fit_normalizer, load_flows, normalize, split_benign
 from .model import AutoencoderModel, init_model
 from .rng import derive_seed
@@ -104,15 +104,8 @@ def _add_train(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", type=float, default=None)
 
 
-def _percentile_flag(text: str) -> float:
-    value = float(text)
-    if not 90.0 <= value <= 100.0:
-        raise argparse.ArgumentTypeError("percentile must lie in [90, 100]")
-    return value
-
-
 def _add_detector(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--percentile", type=_percentile_flag, default=None)
+    p.add_argument("--percentile", type=float, default=None)
 
 
 def _add_smote(p: argparse.ArgumentParser) -> None:
@@ -333,7 +326,7 @@ def cmd_eval(args) -> int:
     )
     benign = [s for s in sequences if not s.is_attack]
     attacks = [s for s in sequences if s.is_attack]
-    report = evaluate_detector(
+    report, codes = evaluate_detector(
         model,
         threshold,
         benign,
@@ -382,7 +375,6 @@ def cmd_eval(args) -> int:
                     ]
                 )
     if args.latents_csv:
-        codes = benign_latent_codes(model, benign)
         with Path(args.latents_csv).open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow([f"z{j}" for j in range(codes.shape[1])])

@@ -42,28 +42,39 @@ class Verdict:
         return self.label == ATTACK
 
 
+def score_windows(
+    model: AutoencoderModel,
+    sequences: list[Sequence],
+    chunk: int = 512,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sequence anomaly scores (MSE between each sequence and its
+    reconstruction) and latent codes, from one encode and one decode of
+    each chunk. Sequences must share one length."""
+    scores = np.empty(len(sequences))
+    codes = np.empty((len(sequences), model.config.latent_dim))
+    if not sequences:
+        return scores, codes
+    lengths = {s.length for s in sequences}
+    if len(lengths) != 1:
+        raise ValueError("sequences must share one length for batched scoring")
+    L = lengths.pop()
+    for lo in range(0, len(sequences), chunk):
+        hi = min(lo + chunk, len(sequences))
+        X = np.stack([s.values for s in sequences[lo:hi]])
+        z = encode_batch(model, X).z
+        diff = decode_batch(model, z, L).outputs - X
+        scores[lo:hi] = np.mean(diff * diff, axis=(1, 2))
+        codes[lo:hi] = z
+    return scores, codes
+
+
 def reconstruction_errors(
     model: AutoencoderModel,
     sequences: list[Sequence],
     chunk: int = 512,
 ) -> np.ndarray:
-    """Per-sequence anomaly scores: MSE between each sequence and its
-    reconstruction. Sequences must share one length."""
-    if not sequences:
-        return np.zeros(0)
-    lengths = {s.length for s in sequences}
-    if len(lengths) != 1:
-        raise ValueError("sequences must share one length for batched scoring")
-    L = lengths.pop()
-    scores = np.empty(len(sequences))
-    for lo in range(0, len(sequences), chunk):
-        batch = sequences[lo : lo + chunk]
-        X = np.stack([s.values for s in batch])
-        state = encode_batch(model, X)
-        Y = decode_batch(model, state.z, L).outputs
-        diff = Y - X
-        scores[lo : lo + len(batch)] = np.mean(diff * diff, axis=(1, 2))
-    return scores
+    """Per-sequence anomaly scores of :func:`score_windows`."""
+    return score_windows(model, sequences, chunk)[0]
 
 
 def percentile_threshold(errors: np.ndarray, percentile: float) -> float:

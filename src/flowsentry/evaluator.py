@@ -8,19 +8,14 @@ reported as None rather than zero.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import EmptyCalibrationSet, InsufficientCodes, UnknownCategory
-from .detector import (
-    ThresholdModel,
-    percentile_threshold,
-    reconstruction_errors,
-)
-from .model import AutoencoderModel, LatentCode, encode_batch
+from .detector import ThresholdModel, percentile_threshold, score_windows
+from .model import AutoencoderModel, LatentCode
 from .sequencing import Sequence
 
 
@@ -117,64 +112,45 @@ def counts_from_scores(
     )
 
 
-def group_by_category(sequences: Iterable[Sequence]) -> dict[str, list[Sequence]]:
-    """Group attack sequences by their dominant category."""
-    groups: dict[str, list[Sequence]] = defaultdict(list)
-    for seq in sequences:
-        if seq.category is None:
-            raise UnknownCategory(
-                f"attack sequence at start {seq.start_index} has no category"
-            )
-        groups[seq.category].append(seq)
-    return dict(groups)
-
-
 def per_category_eval(
-    model: AutoencoderModel,
-    threshold: ThresholdModel,
-    attacks_by_category: Mapping[str, list[Sequence]],
-    benign_test_sequences: list[Sequence],
+    benign_scores: np.ndarray,
+    attack_scores: np.ndarray,
+    attack_categories: list[str | None],
+    threshold: float,
 ) -> dict[str, CategoryMetrics]:
-    """Anomaly accuracy / precision / recall per category, each against the
-    shared benign test set."""
-    if benign_test_sequences:
-        benign_scores = reconstruction_errors(model, benign_test_sequences)
-        fp = int((benign_scores > threshold.threshold).sum())
-    else:
-        fp = 0
+    """Anomaly accuracy / precision / recall per attack category, each
+    against the shared benign scores. ``attack_categories[i]`` is the
+    dominant category of the window scored ``attack_scores[i]``."""
+    attack_scores = np.asarray(attack_scores)
+    missing = [i for i, c in enumerate(attack_categories) if c is None]
+    if missing:
+        raise UnknownCategory(f"attack window {missing[0]} has no category")
+    names = np.asarray(attack_categories, dtype=object)
     out = {}
-    for category in sorted(attacks_by_category):
-        seqs = attacks_by_category[category]
-        scores = reconstruction_errors(model, seqs)
-        tp = int((scores > threshold.threshold).sum())
-        fn = len(seqs) - tp
-        aa = _ratio(tp, tp + fn)
+    for category in sorted(set(attack_categories)):
+        m = compute_metrics(
+            counts_from_scores(benign_scores, attack_scores[names == category], threshold)
+        )
         out[category] = CategoryMetrics(
-            anomaly_accuracy=None if aa is None else 100.0 * aa,
-            precision=_ratio(tp, tp + fp),
-            recall=aa,
+            anomaly_accuracy=m.anomaly_accuracy, precision=m.precision, recall=m.recall
         )
     return out
 
 
 def pr_across_percentiles(
-    model: AutoencoderModel,
-    benign_errors: np.ndarray,
-    labeled_sequences: list[Sequence],
+    benign_scores: np.ndarray,
+    attack_scores: np.ndarray,
     percentiles: Iterable[float],
 ) -> tuple[PRPoint, ...]:
-    """Recalibrate the threshold at each percentile from the stored benign
-    error sample (no retraining) and recompute the metrics."""
-    benign_errors = np.asarray(benign_errors, dtype=np.float64)
-    if benign_errors.size == 0:
-        raise EmptyCalibrationSet("no stored benign errors")
-    scores = reconstruction_errors(model, labeled_sequences)
-    is_attack = np.asarray([s.is_attack for s in labeled_sequences], dtype=bool)
+    """Recalibrate the threshold at each percentile of the benign scores
+    (no retraining) and recompute the metrics."""
+    benign_scores = np.asarray(benign_scores, dtype=np.float64)
+    if benign_scores.size == 0:
+        raise EmptyCalibrationSet("no benign scores")
     points = []
     for q in percentiles:
-        thr = percentile_threshold(benign_errors, q)
-        counts = counts_from_scores(scores[~is_attack], scores[is_attack], thr)
-        m = compute_metrics(counts)
+        thr = percentile_threshold(benign_scores, q)
+        m = compute_metrics(counts_from_scores(benign_scores, attack_scores, thr))
         points.append(
             PRPoint(
                 percentile=float(q),
@@ -202,11 +178,7 @@ def benign_latent_codes(
     model: AutoencoderModel, sequences: list[Sequence], chunk: int = 512
 ) -> np.ndarray:
     """Latent codes of the given sequences as a (count, latent_dim) matrix."""
-    rows = []
-    for lo in range(0, len(sequences), chunk):
-        X = np.stack([s.values for s in sequences[lo : lo + chunk]])
-        rows.append(encode_batch(model, X).z)
-    return np.vstack(rows) if rows else np.zeros((0, model.config.latent_dim))
+    return score_windows(model, sequences, chunk)[1]
 
 
 def evaluate_detector(
@@ -215,46 +187,38 @@ def evaluate_detector(
     benign_sequences: list[Sequence],
     attack_sequences: list[Sequence],
     pr_percentiles: Iterable[float] = (),
-    calibration_errors: np.ndarray | None = None,
     include_categories: bool = False,
-) -> EvalReport:
-    """Assemble the full evaluation report at a calibrated threshold."""
-    benign_scores = (
-        reconstruction_errors(model, benign_sequences)
-        if benign_sequences
-        else np.zeros(0)
-    )
-    attack_scores = (
-        reconstruction_errors(model, attack_sequences)
-        if attack_sequences
-        else np.zeros(0)
-    )
+) -> tuple[EvalReport, np.ndarray]:
+    """Score every window once and assemble the full evaluation report at a
+    calibrated threshold from those scores.
+
+    Returns the report and the benign latent codes, a (len(benign),
+    latent_dim) matrix from the same pass.
+    """
+    benign_scores, benign_codes = score_windows(model, benign_sequences)
+    attack_scores, _ = score_windows(model, attack_sequences)
     counts = counts_from_scores(benign_scores, attack_scores, threshold.threshold)
     summary = compute_metrics(counts)
 
     per_category: dict[str, CategoryMetrics] = {}
     if include_categories and attack_sequences:
         per_category = per_category_eval(
-            model, threshold, group_by_category(attack_sequences), benign_sequences
+            benign_scores,
+            attack_scores,
+            [s.category for s in attack_sequences],
+            threshold.threshold,
         )
 
     pr_curve: tuple[PRPoint, ...] = ()
     percentiles = list(pr_percentiles)
     if percentiles:
-        errors = (
-            np.asarray(calibration_errors)
-            if calibration_errors is not None
-            else benign_scores
-        )
-        pr_curve = pr_across_percentiles(
-            model, errors, benign_sequences + attack_sequences, percentiles
-        )
+        pr_curve = pr_across_percentiles(benign_scores, attack_scores, percentiles)
 
     cohesion = None
     if len(benign_sequences) >= 2:
-        cohesion = latent_cohesion(benign_latent_codes(model, benign_sequences))
+        cohesion = latent_cohesion(benign_codes)
 
-    return EvalReport(
+    report = EvalReport(
         counts=counts,
         benign_accuracy=summary.benign_accuracy,
         anomaly_accuracy=summary.anomaly_accuracy,
@@ -265,20 +229,4 @@ def evaluate_detector(
         pr_curve=pr_curve,
         latent_cohesion=cohesion,
     )
-
-
-def average_reports(reports: Iterable[EvalReport]) -> MetricSummary:
-    """Column-wise mean of scalar metrics across reports (None excluded)."""
-
-    def mean(values: list[float | None]) -> float | None:
-        present = [v for v in values if v is not None]
-        return sum(present) / len(present) if present else None
-
-    reports = list(reports)
-    return MetricSummary(
-        benign_accuracy=mean([r.benign_accuracy for r in reports]),
-        anomaly_accuracy=mean([r.anomaly_accuracy for r in reports]),
-        precision=mean([r.precision for r in reports]),
-        recall=mean([r.recall for r in reports]),
-        f1=mean([r.f1 for r in reports]),
-    )
+    return report, benign_codes

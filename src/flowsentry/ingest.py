@@ -1,7 +1,6 @@
 """Flow CSV ingestion, min-max normalization, and benign train/test splitting.
 
-Flows are kept columnar in a :class:`FlowTable`; individual rows materialize
-as :class:`FlowRecord` views on demand.
+Flows are kept columnar in a :class:`FlowTable`.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence as TypingSequence
+from typing import Sequence as TypingSequence
 
 import numpy as np
 
@@ -57,14 +56,6 @@ class FlowSchema:
         return len(self.feature_columns)
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    features: np.ndarray
-    label: str
-    category: str | None
-    original_index: int
-
-
 class FlowTable:
     """Columnar store of flow records in source order."""
 
@@ -102,17 +93,6 @@ class FlowTable:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> FlowRecord:
-        return FlowRecord(
-            features=self.features[i],
-            label=ATTACK if self.is_attack[i] else BENIGN,
-            category=self.categories[i],
-            original_index=int(self.original_indices[i]),
-        )
-
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return (self[i] for i in range(len(self)))
 
     def select(self, indices: np.ndarray) -> "FlowTable":
         indices = np.asarray(indices, dtype=np.int64)
@@ -235,14 +215,6 @@ def normalize(flows: FlowTable, stats: NormalizationStats) -> FlowTable:
     scaled = np.where(span > 0, scaled, 0.0)
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return FlowTable(scaled, flows.is_attack, flows.categories, flows.original_indices)
-
-
-def denormalize(values: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Inverse of :func:`normalize` for values inside the fitted range."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[-1] != stats.n_features:
-        raise DimensionMismatch("feature dimension mismatch")
-    return values * (stats.maximum - stats.minimum) + stats.minimum
 
 
 def split_benign(

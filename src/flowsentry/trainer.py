@@ -393,7 +393,7 @@ def sweep(
             threshold = calibrate(
                 cell_model, eval_data.calibration_sequences, eval_data.percentile
             )
-            report = evaluate_detector(
+            report, _ = evaluate_detector(
                 cell_model,
                 threshold,
                 eval_data.benign_test_sequences,

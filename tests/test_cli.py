@@ -317,3 +317,21 @@ class TestConfigFile:
         assert art.metadata["lam_rec"] == 1.0  # CLI wins
         assert art.metadata["epochs"] == 2  # config file used
         assert art.model.config.hidden_dim == 8
+
+    @pytest.mark.parametrize(
+        "flag, ini",
+        [("0", None), ("101", None), (None, "[detector]\npercentile = 0\n")],
+        ids=["flag-0", "flag-101", "ini-0"],
+    )
+    def test_percentile_outside_range_exits_1(self, corpus, tmp_path, capsys, flag, ini):
+        _, flows, _ = corpus
+        argv = ["train", "--flows", flows, "--model-out", tmp_path / "m.fsn"]
+        if flag is not None:
+            argv += ["--percentile", flag]
+        if ini is not None:
+            (tmp_path / "cfg.ini").write_text(ini)
+            argv += ["--config", tmp_path / "cfg.ini"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "percentile must lie in (0, 100]" in err
+        assert "Traceback" not in err

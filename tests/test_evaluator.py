@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from flowsentry.detector import ThresholdModel, calibrate, reconstruction_errors
 from flowsentry.errors import EmptyCalibrationSet, InsufficientCodes, UnknownCategory
+from flowsentry import detector as detector_module
+from flowsentry import evaluator as evaluator_module
+from flowsentry import model as model_module
 from flowsentry.evaluator import (
     ConfusionCounts,
+    benign_latent_codes,
     compute_metrics,
     counts_from_scores,
     evaluate_detector,
-    group_by_category,
     latent_cohesion,
     per_category_eval,
     pr_across_percentiles,
@@ -86,55 +89,49 @@ class TestLatentCohesion:
 
 
 class TestPerCategory:
-    def test_all_flagged_category_is_perfect(self, model):
-        rng = np.random.default_rng(0)
-        attacks = {"dos": [attack_sequence(rng.uniform(0, 1, (4, 2)), "dos", i) for i in range(3)]}
-        thr = ThresholdModel(threshold=1e-12, percentile=99.0, calibration_count=1)
-        out = per_category_eval(model, thr, attacks, benign_test_sequences=[])
+    def test_all_flagged_category_is_perfect(self):
+        out = per_category_eval(np.zeros(0), np.array([0.2, 0.3, 0.4]), ["dos"] * 3, 1e-12)
         assert out["dos"].anomaly_accuracy == pytest.approx(100.0)
         assert out["dos"].recall == pytest.approx(1.0)
 
-    def test_empty_categories_give_empty_map(self, model):
-        thr = ThresholdModel(threshold=1.0, percentile=99.0, calibration_count=1)
-        assert per_category_eval(model, thr, {}, []) == {}
+    def test_empty_categories_give_empty_map(self):
+        assert per_category_eval(np.zeros(0), np.zeros(0), [], 1.0) == {}
 
     def test_group_by_category_requires_metadata(self):
-        seq = attack_sequence(np.zeros((2, 2)), None, 0)
         with pytest.raises(UnknownCategory):
-            group_by_category([seq])
+            per_category_eval(np.zeros(0), np.array([0.5, 0.5]), ["dos", None], 1.0)
 
-    def test_shared_benign_fp(self, model):
-        rng = np.random.default_rng(1)
-        benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i) for i in range(4)]
-        attacks = {"recon": [attack_sequence(rng.uniform(0, 1, (4, 2)), "recon", 9)]}
-        thr = ThresholdModel(threshold=1e-12, percentile=99.0, calibration_count=1)
-        out = per_category_eval(model, thr, attacks, benign)
-        # every benign sequence scores above the tiny threshold: fp = 4, tp = 1
+    def test_shared_benign_fp(self):
+        out = per_category_eval(
+            np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.5, 0.6]), ["recon", "dos"], 1e-12
+        )
+        # every benign window scores above the tiny threshold: fp = 4, tp = 1
         assert out["recon"].precision == pytest.approx(1 / 5)
+        assert out["dos"].precision == pytest.approx(1 / 5)
 
 
 class TestPRAcrossPercentiles:
     def test_separable_case(self, model):
         rng = np.random.default_rng(2)
         benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(6)]
-        benign_errors = reconstruction_errors(model, benign)
         # attacks far outside the unit box reconstruct terribly
         attacks = [attack_sequence(rng.uniform(4, 5, (4, 2)), "dos", 100 + i) for i in range(3)]
-        points = pr_across_percentiles(model, benign_errors, benign + attacks, [100.0])
+        points = pr_across_percentiles(
+            reconstruction_errors(model, benign), reconstruction_errors(model, attacks), [100.0]
+        )
         assert len(points) == 1
         assert points[0].precision == pytest.approx(1.0)
         assert points[0].recall == pytest.approx(1.0)
 
-    def test_empty_calibration(self, model):
+    def test_empty_calibration(self):
         with pytest.raises(EmptyCalibrationSet):
-            pr_across_percentiles(model, np.zeros(0), [], [99.0])
+            pr_across_percentiles(np.zeros(0), np.zeros(0), [99.0])
 
     def test_fp_counts_non_increasing_in_percentile(self, model):
         rng = np.random.default_rng(3)
         benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(20)]
-        benign_errors = reconstruction_errors(model, benign)
         points = pr_across_percentiles(
-            model, benign_errors, benign, [90.0, 95.0, 99.0, 100.0]
+            reconstruction_errors(model, benign), np.zeros(0), [90.0, 95.0, 99.0, 100.0]
         )
         fps = [100.0 - p.benign_accuracy for p in points]
         assert fps == sorted(fps, reverse=True)
@@ -146,7 +143,7 @@ class TestEvaluateDetector:
         benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(8)]
         attacks = [attack_sequence(rng.uniform(4, 5, (4, 2)), "dos", 100 + i) for i in range(4)]
         thr = calibrate(model, benign, 99.0)
-        report = evaluate_detector(
+        report, codes = evaluate_detector(
             model, thr, benign, attacks,
             pr_percentiles=[90.0, 99.0], include_categories=True,
         )
@@ -154,7 +151,35 @@ class TestEvaluateDetector:
         assert report.anomaly_accuracy == pytest.approx(100.0)
         assert "dos" in report.per_category
         assert len(report.pr_curve) == 2
-        assert report.latent_cohesion is not None
+        assert report.latent_cohesion == latent_cohesion(codes)
+        np.testing.assert_array_equal(codes, benign_latent_codes(model, benign))
+
+    def test_each_window_encoded_and_decoded_once(self, model, monkeypatch):
+        rows = {"encode_batch": 0, "decode_batch": 0}
+
+        def counting(name):
+            original = getattr(model_module, name)
+
+            def wrapped(m, X, *args):
+                rows[name] += X.shape[0]
+                return original(m, X, *args)
+
+            return wrapped
+
+        for module in (detector_module, evaluator_module):
+            for name in rows:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name))
+        rng = np.random.default_rng(5)
+        benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(8)]
+        attacks = [attack_sequence(rng.uniform(4, 5, (4, 2)), c, 100 + i)
+                   for i, c in enumerate(["dos", "recon", "dos"])]
+        thr = ThresholdModel(threshold=0.5, percentile=99.0, calibration_count=8)
+        evaluate_detector(
+            model, thr, benign, attacks,
+            pr_percentiles=[90.0, 95.0, 99.0], include_categories=True,
+        )
+        assert rows == {"encode_batch": 11, "decode_batch": 11}
 
     def test_counts_from_scores_strict_rule(self):
         counts = counts_from_scores(np.array([0.5, 1.0]), np.array([1.0, 2.0]), 1.0)

@@ -12,7 +12,6 @@ from flowsentry.errors import (
 )
 from flowsentry.ingest import (
     FlowSchema,
-    denormalize,
     fit_normalizer,
     load_flows,
     normalize,
@@ -52,11 +51,10 @@ class TestLoadFlows:
         assert len(table) == 3
         assert table.n_benign == 2
         assert table.n_attack == 1
-        assert table[1].label == "attack"
-        assert table[1].category == "dos"
-        assert table[0].category is None
+        np.testing.assert_array_equal(table.is_attack, [False, True, False])
+        assert table.categories == [None, "dos", None]
         np.testing.assert_array_equal(table.features, [[1, 2], [3, 4], [5, 6]])
-        assert [r.original_index for r in table] == [0, 1, 2]
+        np.testing.assert_array_equal(table.original_indices, [0, 1, 2])
 
     def test_missing_label_column(self, tmp_path, two_feature_schema):
         path = write(tmp_path, "a,b,category\n1,2,\n")
@@ -117,29 +115,6 @@ class TestNormalizer:
         out = normalize(make_table([[5, 0.5], [7, 0.25]]), stats)
         np.testing.assert_allclose(out.features[:, 0], [0.0, 0.0])
         np.testing.assert_allclose(out.features[:, 1], [0.5, 0.25])
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-1e6, 1e6, allow_nan=False),
-                st.floats(-1e6, 1e6, allow_nan=False),
-            ),
-            min_size=2,
-            max_size=40,
-        )
-    )
-    def test_round_trip_within_fitted_range(self, rows):
-        table = make_table(rows)
-        stats = fit_normalizer(table)
-        normalized = normalize(table, stats)
-        recovered = denormalize(normalized.features, stats)
-        span = stats.maximum - stats.minimum
-        # constant columns normalize to 0 and cannot round-trip
-        for j in range(2):
-            if span[j] > 0:
-                np.testing.assert_allclose(
-                    recovered[:, j], table.features[:, j], rtol=1e-9, atol=1e-9 * max(1.0, span[j])
-                )
 
     @given(
         st.lists(

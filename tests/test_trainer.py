@@ -227,20 +227,3 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(triplets, cfg, TrainConfig(epochs=1), self._eval_data(triplets),
                   rec_values=(1.5,), tml_values=(0.0,))
-
-
-class TestAverageReports:
-    def test_mean_shape(self):
-        from flowsentry.evaluator import EvalReport, ConfusionCounts, average_reports
-
-        def report(ba, aa):
-            return EvalReport(
-                counts=ConfusionCounts(1, 1, 1, 1),
-                benign_accuracy=ba, anomaly_accuracy=aa,
-                precision=0.5, recall=0.5, f1=0.5,
-                per_category={}, pr_curve=(), latent_cohesion=None,
-            )
-
-        avg = average_reports([report(90.0, 80.0), report(100.0, 90.0)])
-        assert avg.benign_accuracy == pytest.approx(95.0)
-        assert avg.anomaly_accuracy == pytest.approx(85.0)
