@@ -104,9 +104,10 @@ def from_bytes(data: bytes) -> Artifact:
         end = start + 8 * count
         if end > len(payload):
             raise CorruptArtifact(f"truncated payload for tensor {entry['name']!r}")
-        tensors[entry["name"]] = (
-            np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64).reshape(shape)
-        )
+        tensor = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(tensor).all():
+            raise CorruptArtifact(f"non-finite values in tensor {entry['name']!r}")
+        tensors[entry["name"]] = tensor
 
     norm_stats = None
     if header.get("has_norm_stats"):

@@ -9,6 +9,7 @@ threshold strictly; a score exactly at the threshold stays benign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class ThresholdModel:
     def __post_init__(self):
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile must lie in (0, 100]")
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        # a NaN threshold would call every window benign, since score > nan is false
+        if not math.isfinite(self.threshold) or self.threshold < 0:
+            raise ValueError("threshold must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,9 @@ def score_windows(
     for lo in range(0, len(sequences), chunk):
         hi = min(lo + chunk, len(sequences))
         X = np.stack([s.values for s in sequences[lo:hi]])
-        z = encode_batch(model, X).z
-        diff = decode_batch(model, z, L).outputs - X
+        # keep_cache=False (positional): scoring never backpropagates
+        z = encode_batch(model, X, None, False).z
+        diff = decode_batch(model, z, L, False).outputs - X
         scores[lo:hi] = np.mean(diff * diff, axis=(1, 2))
         codes[lo:hi] = z
     return scores, codes

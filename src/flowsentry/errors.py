@@ -19,6 +19,14 @@ class NonNumericValue(FlowSentryError):
         self.value = value
 
 
+class ShortRow(FlowSentryError):
+    """A data row has fewer cells than the CSV header."""
+
+    def __init__(self, row: int, cells: int, columns: int):
+        super().__init__(f"data row {row} has {cells} cells, the header has {columns}")
+        self.row = row
+
+
 class EmptyFile(FlowSentryError):
     """The CSV file has no header row."""
 

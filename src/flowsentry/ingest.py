@@ -20,6 +20,7 @@ from .errors import (
     MissingColumn,
     NoBenignRecords,
     NonNumericValue,
+    ShortRow,
 )
 from .rng import rng_from
 
@@ -135,7 +136,8 @@ def load_flows(path: str | Path, schema: FlowSchema) -> FlowTable:
 
     A file without a header row raises :class:`EmptyFile`; a header-only
     file yields an empty table. Non-numeric feature cells raise
-    :class:`NonNumericValue` with the offending data-row index and column.
+    :class:`NonNumericValue` with the offending data-row index and column,
+    and a data row with fewer cells than the header raises :class:`ShortRow`.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -168,6 +170,8 @@ def load_flows(path: str | Path, schema: FlowSchema) -> FlowTable:
         for row in reader:
             if not row:
                 continue
+            if len(row) < len(header):
+                raise ShortRow(row_index, len(row), len(header))
             parsed = []
             for j, name in zip(feat_idx, schema.feature_columns):
                 cell = row[j]

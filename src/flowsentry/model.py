@@ -175,9 +175,16 @@ class DecodeState:
 
 
 def encode_batch(
-    model: AutoencoderModel, X: np.ndarray, eta: np.ndarray | None = None
+    model: AutoencoderModel,
+    X: np.ndarray,
+    eta: np.ndarray | None = None,
+    keep_cache: bool = True,
 ) -> EncodeState:
-    """Run the stacked encoder over (B, L, n) inputs."""
+    """Run the stacked encoder over (B, L, n) inputs.
+
+    Without ``keep_cache`` the layers keep no gate or cell history, so the
+    state gives the codes but cannot be backpropagated.
+    """
     cfg = model.config
     if X.ndim != 3 or X.shape[2] != cfg.input_dim:
         raise DimensionMismatch(
@@ -188,7 +195,8 @@ def encode_batch(
     current = np.asarray(X, dtype=np.float64)
     for layer in range(cfg.num_layers):
         cache = lstm_forward(
-            p[f"enc{layer}.W"], p[f"enc{layer}.U"], p[f"enc{layer}.b"], current
+            p[f"enc{layer}.W"], p[f"enc{layer}.U"], p[f"enc{layer}.b"], current,
+            keep_cache=keep_cache,
         )
         caches.append(cache)
         current = cache.outputs
@@ -254,7 +262,8 @@ def encode_backward(
     for layer in range(cfg.num_layers - 1, -1, -1):
         cache = state.caches[layer]
         dW, dU, db, d_inputs, _, _ = lstm_backward(
-            p[f"enc{layer}.W"], p[f"enc{layer}.U"], cache, d_outputs, d_h_last
+            p[f"enc{layer}.W"], p[f"enc{layer}.U"], cache, d_outputs, d_h_last,
+            want_d_inputs=layer > 0,
         )
         grads[f"enc{layer}.W"] += dW
         grads[f"enc{layer}.U"] += dU
@@ -263,8 +272,14 @@ def encode_backward(
         d_h_last = None
 
 
-def decode_batch(model: AutoencoderModel, Z: np.ndarray, length: int) -> DecodeState:
-    """Unroll the stacked decoder for ``length`` steps from latent codes."""
+def decode_batch(
+    model: AutoencoderModel, Z: np.ndarray, length: int, keep_cache: bool = True
+) -> DecodeState:
+    """Unroll the stacked decoder for ``length`` steps from latent codes.
+
+    The first layer's step inputs are all zero, so their projection is
+    skipped. ``keep_cache`` is as in :func:`encode_batch`.
+    """
     cfg = model.config
     if Z.ndim != 2 or Z.shape[1] != cfg.latent_dim:
         raise DimensionMismatch(f"expected (B, {cfg.latent_dim}) latent, got {Z.shape}")
@@ -272,7 +287,7 @@ def decode_batch(model: AutoencoderModel, Z: np.ndarray, length: int) -> DecodeS
     B = Z.shape[0]
     h0 = Z @ p["seed.W"].T + p["seed.b"]
     caches = []
-    current = np.zeros((B, length, cfg.input_dim))
+    current = (B, length)
     for layer in range(cfg.num_layers):
         cache = lstm_forward(
             p[f"dec{layer}.W"],
@@ -280,6 +295,7 @@ def decode_batch(model: AutoencoderModel, Z: np.ndarray, length: int) -> DecodeS
             p[f"dec{layer}.b"],
             current,
             h0=h0 if layer == 0 else None,
+            keep_cache=keep_cache,
         )
         caches.append(cache)
         current = cache.outputs

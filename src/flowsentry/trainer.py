@@ -153,27 +153,30 @@ def loss_and_grads(
 ) -> tuple[LossParts, dict[str, np.ndarray] | None]:
     """Joint loss and its analytic gradients over a stacked triplet batch.
 
-    When lam_tml is 0 the positive/negative passes are skipped entirely, so
-    the gradient equals the reconstruction-only gradient by construction.
+    The three branches share the encoder, so with lam_tml > 0 anchors,
+    positives and negatives are encoded and backpropagated as one batch of
+    3B rows. When lam_tml is 0 only the anchors are encoded, so the gradient
+    equals the reconstruction-only gradient by construction.
     """
     B, L, _ = A.shape
     if B == 0:
         raise EmptyBatch("loss requested on an empty batch")
     variational = model.config.variational
-    eta_a = eta_p = eta_n = None
-    if variational:
-        if etas is None:
-            rng = rng_from(derive_seed(cfg.seed, "loss-eta"))
-            etas = _draw_etas(model, rng, B)
-        eta_a, eta_p, eta_n = etas
+    if variational and etas is None:
+        rng = rng_from(derive_seed(cfg.seed, "loss-eta"))
+        etas = _draw_etas(model, rng, B)
 
     use_tml = cfg.lam_tml > 0
     use_rec = cfg.lam_rec > 0
 
-    enc_a = encode_batch(model, A, eta_a)
-    enc_p = encode_batch(model, P, eta_p) if use_tml else None
-    enc_n = encode_batch(model, N, eta_n) if use_tml else None
-    dec = decode_batch(model, enc_a.z, L) if use_rec else None
+    if use_tml:
+        eta = np.concatenate(etas) if variational else None
+        enc = encode_batch(model, np.concatenate([A, P, N]), eta)
+        z_a, z_p, z_n = enc.z[:B], enc.z[B : 2 * B], enc.z[2 * B :]
+    else:
+        enc = encode_batch(model, A, etas[0] if variational else None)
+        z_a = enc.z
+    dec = decode_batch(model, z_a, L) if use_rec else None
 
     # reconstruction term
     if use_rec:
@@ -185,8 +188,8 @@ def loss_and_grads(
     # triplet term
     tml = 0.0
     if use_tml:
-        ap = enc_a.z - enc_p.z
-        an = enc_a.z - enc_n.z
+        ap = z_a - z_p
+        an = z_a - z_n
         d_ap = np.linalg.norm(ap, axis=1)
         d_an = np.linalg.norm(an, axis=1)
         hinge = d_ap - d_an + cfg.margin
@@ -196,7 +199,7 @@ def loss_and_grads(
     # KL term (anchor posterior against the unit Gaussian)
     kl = 0.0
     if variational and cfg.lam_kl > 0:
-        mu, lv = enc_a.mean, enc_a.log_variance
+        mu, lv = enc.mean[:B], enc.log_variance[:B]
         kl = float(np.mean(-0.5 * np.sum(1.0 + lv - mu * mu - np.exp(lv), axis=1)))
 
     total = cfg.lam_tml * tml + cfg.lam_rec * rec + cfg.lam_kl * kl
@@ -205,13 +208,13 @@ def loss_and_grads(
         return parts, None
 
     grads = zero_grads(model)
-    d_za = np.zeros_like(enc_a.z)
+    d_z = np.zeros_like(enc.z)  # rows as in enc.z: anchors first
+    d_za = d_z[:B]
 
     if use_rec:
         d_out = (2.0 * cfg.lam_rec / diff.size) * diff
-        d_za += decode_backward(model, dec, enc_a.z, d_out, grads)
+        d_za += decode_backward(model, dec, z_a, d_out, grads)
 
-    d_zp = d_zn = None
     if use_tml:
         scale = cfg.lam_tml / B
         # unit vectors with a zero subgradient at coincident points
@@ -219,19 +222,19 @@ def loss_and_grads(
         unit_an = np.where(d_an[:, None] > 0, an / np.where(d_an, d_an, 1.0)[:, None], 0.0)
         act = active[:, None]
         d_za += scale * np.where(act, unit_ap - unit_an, 0.0)
-        d_zp = scale * np.where(act, -unit_ap, 0.0)
-        d_zn = scale * np.where(act, unit_an, 0.0)
+        d_z[B : 2 * B] = scale * np.where(act, -unit_ap, 0.0)
+        d_z[2 * B :] = scale * np.where(act, unit_an, 0.0)
 
     d_mean_extra = d_logvar_extra = None
     if variational and cfg.lam_kl > 0:
+        # the KL term reaches the anchors' heads only
         w = cfg.lam_kl / B
-        d_mean_extra = w * enc_a.mean
-        d_logvar_extra = w * 0.5 * (np.exp(enc_a.log_variance) - 1.0)
+        d_mean_extra = np.zeros_like(d_z)
+        d_logvar_extra = np.zeros_like(d_z)
+        d_mean_extra[:B] = w * mu
+        d_logvar_extra[:B] = w * 0.5 * (np.exp(lv) - 1.0)
 
-    encode_backward(model, enc_a, d_za, grads, d_mean_extra, d_logvar_extra)
-    if use_tml:
-        encode_backward(model, enc_p, d_zp, grads)
-        encode_backward(model, enc_n, d_zn, grads)
+    encode_backward(model, enc, d_z, grads, d_mean_extra, d_logvar_extra)
     return parts, grads
 
 

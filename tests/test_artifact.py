@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -77,3 +80,42 @@ def test_file_round_trip(tmp_path):
     assert art.metadata == {"note": "x"}
     for k in model.param_names():
         np.testing.assert_array_equal(art.model.params[k], model.params[k])
+
+
+def repack(data: bytes, edit_header=None, edit_payload=None) -> bytes:
+    """Artifact bytes with the header JSON and/or payload rewritten."""
+    header_len = struct.unpack_from("<Q", data, 8)[0]
+    header = json.loads(data[16 : 16 + header_len])
+    payload = bytearray(data[16 + header_len :])
+    if edit_header is not None:
+        edit_header(header)
+    if edit_payload is not None:
+        edit_payload(header, payload)
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return data[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes + bytes(payload)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_threshold_raises_corrupt(bad):
+    thr = ThresholdModel(threshold=0.25, percentile=99.0, calibration_count=3)
+    data = to_bytes(make_model(), thr)
+    assert from_bytes(repack(data)).threshold == thr
+
+    def set_threshold(header):
+        header["threshold"]["threshold"] = bad
+
+    with pytest.raises(CorruptArtifact, match="threshold"):
+        from_bytes(repack(data, edit_header=set_threshold))
+
+
+@pytest.mark.parametrize("name", ["enc0.U", "norm.max"])
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_non_finite_tensor_raises_corrupt(name, bad):
+    data = to_bytes(make_model())
+
+    def poison(header, payload):
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        struct.pack_into("<d", payload, entry["offset"] + 8, bad)
+
+    with pytest.raises(CorruptArtifact, match=name):
+        from_bytes(repack(data, edit_payload=poison))

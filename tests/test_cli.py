@@ -149,6 +149,17 @@ class TestDetect:
         assert rc == 1
         assert "DimensionMismatch" in capsys.readouterr().err
 
+    def test_short_row_exits_1(self, corpus, tmp_path, capsys):
+        _, _, model = corpus
+        bad = tmp_path / "short.csv"
+        bad.write_text("f0,label\n0.5,benign\n0.7\n")
+        rc = run("detect", "--model", model, "--flows", bad, "--out", tmp_path / "v.csv",
+                 "--sequence-length", 1)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ShortRow" in err and "data row 1" in err
+        assert "Traceback" not in err
+
 
 class TestEval:
     def test_report_files(self, corpus, tmp_path):

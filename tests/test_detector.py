@@ -98,6 +98,12 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             ThresholdModel(threshold=-1.0, percentile=99.0, calibration_count=5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, bad):
+        # score > nan is false, so a NaN threshold would call every window benign
+        with pytest.raises(ValueError, match="finite"):
+            ThresholdModel(threshold=bad, percentile=99.0, calibration_count=5)
+
 
 class TestClassify:
     def test_boundary_is_benign(self, model):

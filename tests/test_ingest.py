@@ -9,6 +9,7 @@ from flowsentry.errors import (
     MissingColumn,
     NoBenignRecords,
     NonNumericValue,
+    ShortRow,
 )
 from flowsentry.ingest import (
     FlowSchema,
@@ -75,6 +76,13 @@ class TestLoadFlows:
             load_flows(path, two_feature_schema)
         assert err.value.row == 1
         assert err.value.column == "b"
+
+    def test_short_row(self, tmp_path, two_feature_schema):
+        path = write(tmp_path, "a,b,label,category\n1,2,benign,\n\n1,2,benign\n")
+        with pytest.raises(ShortRow) as err:
+            load_flows(path, two_feature_schema)
+        assert err.value.row == 1
+        assert "data row 1 has 3 cells, the header has 4" in str(err.value)
 
     def test_exact_label_comparison(self, tmp_path):
         schema = FlowSchema(("a",), "label", benign_label_value="Benign")

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from flowsentry.errors import DimensionMismatch, DivergedLoss, EmptyBatch, EmptyTrainingSet
-from flowsentry.model import ModelConfig, init_model, reconstruct, reconstruction_error
+from flowsentry import trainer as trainer_module
+from flowsentry.model import (
+    ModelConfig,
+    decode_backward,
+    decode_batch,
+    encode_backward,
+    encode_batch,
+    init_model,
+    reconstruct,
+    reconstruction_error,
+    zero_grads,
+)
 from flowsentry.sequencing import Triplet
 from flowsentry.trainer import (
     DEFAULT_GRID,
@@ -109,6 +120,94 @@ class TestJointLoss:
         base = joint_loss(triplets, model, TrainConfig(lam_rec=0.8, lam_tml=0.9, epochs=1))
         half = joint_loss(triplets, model, TrainConfig(lam_rec=0.4, lam_tml=0.45, epochs=1))
         assert half == pytest.approx(0.5 * base, rel=1e-12)
+
+
+def separate_branch_loss_and_grads(model, A, P, N, cfg, etas):
+    """The joint loss with anchors, positives and negatives encoded and
+    backpropagated as three separate batches, from the public model
+    functions."""
+    B, L, _ = A.shape
+    eta_a, eta_p, eta_n = etas if etas is not None else (None, None, None)
+    enc = [encode_batch(model, X, eta) for X, eta in ((A, eta_a), (P, eta_p), (N, eta_n))]
+    za, zp, zn = (e.z for e in enc)
+    dec = decode_batch(model, za, L)
+    diff = dec.outputs - A
+    rec = float(np.mean(diff * diff))
+    ap, an = za - zp, za - zn
+    d_ap, d_an = np.linalg.norm(ap, axis=1), np.linalg.norm(an, axis=1)
+    hinge = d_ap - d_an + cfg.margin
+    tml = float(np.mean(np.maximum(hinge, 0.0)))
+    kl = 0.0
+    extras = (None, None)
+    if model.config.variational:
+        mu, lv = enc[0].mean, enc[0].log_variance
+        kl = float(np.mean(-0.5 * np.sum(1.0 + lv - mu * mu - np.exp(lv), axis=1)))
+        w = cfg.lam_kl / B
+        extras = (w * mu, w * 0.5 * (np.exp(lv) - 1.0))
+    total = cfg.lam_tml * tml + cfg.lam_rec * rec + cfg.lam_kl * kl
+
+    grads = zero_grads(model)
+    d_za = decode_backward(model, dec, za, (2.0 * cfg.lam_rec / diff.size) * diff, grads)
+    act = (hinge > 0)[:, None]
+    unit_ap, unit_an = ap / d_ap[:, None], an / d_an[:, None]
+    scale = cfg.lam_tml / B
+    d_za = d_za + scale * np.where(act, unit_ap - unit_an, 0.0)
+    encode_backward(model, enc[0], d_za, grads, *extras)
+    encode_backward(model, enc[1], scale * np.where(act, -unit_ap, 0.0), grads)
+    encode_backward(model, enc[2], scale * np.where(act, unit_an, 0.0), grads)
+    return (total, rec, tml, kl), grads
+
+
+class TestStackedTriplets:
+    def batch(self, cfg, B=5, L=4, seed=0):
+        rng = np.random.default_rng(seed)
+        A = rng.uniform(0, 1, (B, L, cfg.input_dim))
+        P = np.clip(A + rng.uniform(-0.1, 0.1, A.shape), 0, 1)
+        N = rng.uniform(0, 1, A.shape)
+        etas = None
+        if cfg.variational:
+            etas = tuple(rng.standard_normal((B, cfg.latent_dim)) for _ in range(3))
+        return A, P, N, etas
+
+    def count_encodes(self, monkeypatch):
+        rows = []
+        original = trainer_module.encode_batch
+
+        def counting(m, X, *args):
+            rows.append(X.shape[0])
+            return original(m, X, *args)
+
+        monkeypatch.setattr(trainer_module, "encode_batch", counting)
+        return rows
+
+    @pytest.mark.parametrize("lam_rec,lam_tml,expected", [(0.8, 0.9, [15]), (0.0, 1.0, [15]), (1.0, 0.0, [5])])
+    def test_one_encoder_pass_per_batch(self, monkeypatch, lam_rec, lam_tml, expected):
+        model = init_model(ModelConfig(input_dim=2, hidden_dim=4, latent_dim=3, seed=1))
+        A, P, N, _ = self.batch(model.config)
+        rows = self.count_encodes(monkeypatch)
+        loss_and_grads(model, A, P, N, TrainConfig(lam_rec=lam_rec, lam_tml=lam_tml, epochs=1))
+        assert rows == expected
+
+    @pytest.mark.parametrize(
+        "mode,num_layers,lam_kl",
+        [("deterministic", 1, 0.0), ("deterministic", 2, 0.0), ("variational", 1, 0.1)],
+    )
+    def test_matches_separate_branches(self, mode, num_layers, lam_kl):
+        cfg = ModelConfig(input_dim=3, hidden_dim=6, latent_dim=4, num_layers=num_layers,
+                          mode=mode, seed=2)
+        model = init_model(cfg)
+        A, P, N, etas = self.batch(cfg, seed=num_layers)
+        tcfg = TrainConfig(lam_rec=0.7, lam_tml=0.6, lam_kl=lam_kl, margin=1.0, epochs=1)
+        parts, grads = loss_and_grads(model, A, P, N, tcfg, etas)
+        want_parts, want = separate_branch_loss_and_grads(model, A, P, N, tcfg, etas)
+        # forward rows of the stacked pass are bit-identical to separate passes
+        assert (parts.total, parts.reconstruction, parts.triplet, parts.kl) == want_parts
+        assert parts.triplet > 0
+        # only the order of the gradient reductions over rows differs
+        for name in model.param_names():
+            scale = np.max(np.abs(want[name]))
+            np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=1e-10 * scale,
+                                       err_msg=name)
 
 
 class TestTrain:
