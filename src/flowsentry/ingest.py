@@ -28,6 +28,13 @@ BENIGN = "benign"
 ATTACK = "attack"
 
 
+def check_delimiter(value: str) -> str:
+    """Return a CSV delimiter, which must be exactly one character."""
+    if len(value) != 1:
+        raise ValueError(f"delimiter must be one character, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class FlowSchema:
     """Column layout of a labeled flow CSV.
@@ -37,7 +44,7 @@ class FlowSchema:
     """
 
     feature_columns: tuple[str, ...]
-    label_column: str
+    label_column: str = "label"
     attack_category_column: str | None = None
     benign_label_value: str = BENIGN
     delimiter: str = ","
@@ -50,6 +57,9 @@ class FlowSchema:
             names.append(self.attack_category_column)
         if len(set(names)) != len(names):
             raise ValueError("schema column names must be unique")
+        if not all(names) or not self.benign_label_value:
+            raise ValueError("column names and the benign label must be non-empty")
+        check_delimiter(self.delimiter)
         object.__setattr__(self, "feature_columns", tuple(self.feature_columns))
 
     @property

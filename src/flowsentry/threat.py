@@ -41,8 +41,8 @@ class BruteForceParams:
 @dataclass(frozen=True)
 class DosParams:
     capacity: float             # C > 0, requests/s
-    rate_legit: float           # R_legit >= 0
-    rate_attack: float          # R_attack >= 0
+    rate_legit: float = 0.0     # R_legit >= 0
+    rate_attack: float = 0.0    # R_attack >= 0
     arrival_legit: float = 0.0  # lambda_legit >= 0
     arrival_attack: float = 0.0
     service_rate: float = 1.0   # mu > 0

@@ -346,3 +346,209 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "percentile must lie in (0, 100]" in err
         assert "Traceback" not in err
+
+
+# One bad value per option of the table; the table test below fails when a
+# row is added without one.
+BAD_VALUES = {
+    "feature_columns": "f0,f0",
+    "label_column": "",
+    "category_column": "label",
+    "benign_label": "",
+    "delimiter": "ab",
+    "sequence_length": "0",
+    "stride": "0",
+    "noise_scale": "-1",
+    "hidden_dim": "0",
+    "latent_dim": "0",
+    "num_layers": "0",
+    "mode": "bogus",
+    "lambda_rec": "1.5",
+    "lambda_tml": "-0.1",
+    "lambda_kl": "-1",
+    "margin": "0",
+    "epochs": "0",
+    "batch_size": "0",
+    "learning_rate": "0",
+    "percentile": "0",
+    "smote": "0.5",
+    "smote_k": "0",
+    "seed": "1.5",
+    "train_fraction": "1",
+}
+
+
+def flag_of(option):
+    return "--" + option.dest.replace("_", "-")
+
+
+def train_error(capsys, flows, out, *extra):
+    rc = run("train", "--flows", flows, "--model-out", out, *extra)
+    return rc, capsys.readouterr().err
+
+
+class TestOptionTable:
+    def test_every_row_has_a_bad_value(self):
+        from flowsentry.config import OPTIONS
+
+        assert {o.dest for o in OPTIONS} == set(BAD_VALUES)
+
+    @pytest.mark.parametrize("dest", sorted(BAD_VALUES))
+    def test_bad_value_same_by_flag_and_ini(self, corpus, tmp_path, capsys, dest):
+        from flowsentry.config import OPTIONS
+
+        option = next(o for o in OPTIONS if o.dest == dest)
+        _, flows, _ = corpus
+        bad = BAD_VALUES[dest]
+        rc_flag, err_flag = train_error(capsys, flows, tmp_path / "a.fsn", flag_of(option), bad)
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[{option.section}]\n{option.key} = {bad}\n")
+        rc_ini, err_ini = train_error(capsys, flows, tmp_path / "b.fsn", "--config", ini)
+        assert rc_flag == rc_ini == 1
+        assert err_flag.startswith("flowsentry: InvalidConfig: ")
+        assert err_flag == err_ini
+        assert err_flag.count("\n") == 1 and "Traceback" not in err_flag
+        assert not (tmp_path / "a.fsn").exists() and not (tmp_path / "b.fsn").exists()
+
+    def test_help_lists_exactly_the_rows_of_each_command(self, capsys):
+        import re
+
+        from flowsentry.config import OPTIONS
+
+        own = {
+            "train": {"--flows", "--model-out", "--report-out"},
+            "calibrate": {"--model", "--flows", "--model-out"},
+            "detect": {"--model", "--flows", "--out"},
+            "eval": {"--model", "--flows", "--out-dir", "--pr-percentiles", "--latents-csv"},
+            "sweep": {"--flows", "--out", "--grid-rec", "--grid-tml"},
+            "transfer": {"--model", "--flows", "--model-out", "--report-out", "--freeze"},
+        }
+        # --config plus the rows: 25 settable values for train and sweep
+        settable = {"train": 25, "calibrate": 11, "detect": 10, "eval": 10,
+                    "sweep": 25, "transfer": 21}
+        for command, flags in own.items():
+            with pytest.raises(SystemExit) as exc:
+                run(command, "--help")
+            assert exc.value.code == 0
+            listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+            rows = {flag_of(o) for o in OPTIONS if command in o.commands}
+            assert listed == flags | rows | {"--help", "--config"}, command
+            assert len(rows) + 1 == settable[command], command
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_exit_1(self, corpus, tmp_path, capsys, value):
+        from flowsentry.config import OPTIONS, finite
+
+        _, flows, _ = corpus
+        rows = [o for o in OPTIONS if o.cast is finite]
+        assert {o.dest for o in rows} >= {"noise_scale", "smote", "percentile", "margin"}
+        for option in rows:
+            rc, err = train_error(capsys, flows, tmp_path / "m.fsn", f"{flag_of(option)}={value}")
+            assert rc == 1 and "Traceback" not in err
+            assert f"InvalidConfig: {option.dest}: must be a finite number" in err
+            ini = tmp_path / "bad.ini"
+            ini.write_text(f"[{option.section}]\n{option.key} = {value}\n")
+            assert train_error(capsys, flows, tmp_path / "m.fsn", "--config", ini) == (1, err)
+
+    def test_unparseable_number_exits_1_not_2(self, corpus, tmp_path, capsys):
+        _, flows, _ = corpus
+        rc, err = train_error(capsys, flows, tmp_path / "m.fsn", "--epochs", "five")
+        assert rc == 1
+        assert "InvalidConfig: epochs: invalid literal for int()" in err
+
+
+class TestConfigFileRejection:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "epochs = 5\n",
+            "[model]\nmode\n",
+            "[train]\nepochs = 2\n[train]\nepochs = 3\n",
+            "[train]\nepochs = 2\nepochs = 3\n",
+        ],
+        ids=["no-section-header", "bare-key", "duplicate-section", "duplicate-key"],
+    )
+    def test_malformed_ini_exits_1(self, corpus, tmp_path, capsys, text):
+        _, flows, _ = corpus
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        rc, err = train_error(capsys, flows, tmp_path / "m.fsn", "--config", ini)
+        assert rc == 1
+        assert err.startswith(f"flowsentry: InvalidConfig: {ini}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[train]\nepohcs = 5\n", "unknown key [train] epohcs"),
+            ("[trian]\nepochs = 5\n", "unknown section [trian]"),
+            ("[DEFAULT]\nepochs = 5\n", "unknown key [DEFAULT] epochs"),
+        ],
+        ids=["key", "section", "default-section"],
+    )
+    def test_unknown_key_exits_1(self, corpus, tmp_path, capsys, text, message):
+        _, flows, _ = corpus
+        ini = tmp_path / "c.ini"
+        ini.write_text(text)
+        rc, err = train_error(capsys, flows, tmp_path / "m.fsn", "--config", ini)
+        assert rc == 1
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "m.fsn").exists()
+
+    def test_shared_file_ignores_rows_the_command_lacks(self, corpus, tmp_path):
+        _, flows, model = corpus
+        ini = tmp_path / "dataset.ini"
+        ini.write_text(
+            "[schema]\ncategory_column = category\n[sequencing]\nlength = 12\n"
+            "[model]\nhidden_dim = 0\n[train]\nepochs = 0\n[detector]\npercentile = 0\n"
+        )
+        out = tmp_path / "v.csv"
+        assert run("detect", "--model", model, "--flows", flows, "--out", out,
+                   "--config", ini) == 0
+        assert len(read_csv(out)) == 1 + 1200 // 12
+
+    @pytest.mark.parametrize("flag, ini", [("ab", None), (None, "")], ids=["flag", "ini-empty"])
+    def test_bad_delimiter_exits_1(self, corpus, tmp_path, capsys, flag, ini):
+        _, flows, _ = corpus
+        argv = []
+        if flag is not None:
+            argv = ["--delimiter", flag]
+        else:
+            (tmp_path / "c.ini").write_text(f"[schema]\ndelimiter = {ini}\n")
+            argv = ["--config", tmp_path / "c.ini"]
+        rc, err = train_error(capsys, flows, tmp_path / "m.fsn", *argv)
+        assert rc == 1
+        assert "InvalidConfig: delimiter: delimiter must be one character" in err
+        assert "Traceback" not in err
+
+    def test_config_directory_exits_1(self, corpus, tmp_path, capsys):
+        _, flows, _ = corpus
+        rc, err = train_error(capsys, flows, tmp_path / "m.fsn", "--config", tmp_path)
+        assert rc == 1
+        assert err.startswith("flowsentry: ") and str(tmp_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_missing_config_file(self, corpus, tmp_path, capsys):
+        _, flows, _ = corpus
+        rc, err = train_error(capsys, flows, tmp_path / "m.fsn",
+                              "--config", tmp_path / "nope.ini")
+        assert rc == 1
+        assert "missing input" in err
+
+
+class TestTransferSmote:
+    def test_flag_and_ini_write_identical_artifacts(self, corpus, tmp_path):
+        _, flows, model = corpus
+        common = ["transfer", "--model", model, "--flows", flows, "--freeze", "encoder",
+                  "--category-column", "category", "--sequence-length", 12,
+                  "--epochs", 2, "--seed", 5]
+        ini = tmp_path / "smote.ini"
+        ini.write_text("[smote]\nmultiplier = 1.5\n")
+        outs = {}
+        for name, extra in (("flag", ["--smote", "1.5"]), ("ini", ["--config", ini]),
+                            ("off", [])):
+            out = tmp_path / f"{name}.fsn"
+            assert run(*common, "--model-out", out, *extra) == 0
+            outs[name] = (out.read_bytes(), (tmp_path / f"{name}.fsn.train.csv").read_bytes())
+        assert outs["flag"] == outs["ini"]
+        assert outs["flag"][0] != outs["off"][0]  # SMOTE did change the training data

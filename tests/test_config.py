@@ -72,3 +72,50 @@ seed = 42
     assert values["lambda_rec"] == 0.6
     assert values["percentile"] == 95.0
     assert values["seed"] == 42
+
+
+def test_readme_ini_example_names_every_key(tmp_path):
+    import re
+    from pathlib import Path
+
+    from flowsentry.config import OPTIONS
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.ini"
+    path.write_text(blocks[0])
+    values = load_config_values(path)
+    assert set(values) == {o.dest for o in OPTIONS}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["epochs = 5\n", "[model]\nmode\n", "[a]\n[a]\n", "[train]\nepochs = 1\nepochs = 2\n",
+     "[train]\nepohcs = 5\n", "[trian]\n", "[sequencing]\nnoise_scale = nan\n",
+     "[smote]\nmultiplier = inf\n", "[schema]\ndelimiter =\n"],
+)
+def test_ini_rejections_are_invalid_config(tmp_path, text):
+    from flowsentry.errors import InvalidConfig
+
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    with pytest.raises(InvalidConfig):
+        load_config_values(path)
+
+
+def test_schema_delimiter_must_be_one_character():
+    for delimiter in ("", ";;"):
+        with pytest.raises(ValueError, match="delimiter must be one character"):
+            FlowSchema(("f0",), "label", delimiter=delimiter)
+
+
+def test_non_finite_values_rejected_before_the_dataclasses():
+    from flowsentry.config import OPTIONS, finite
+    from flowsentry.errors import InvalidConfig
+
+    for option in OPTIONS:
+        if option.cast is finite:
+            for text in ("nan", "inf", "-inf"):
+                with pytest.raises(InvalidConfig, match=f"^{option.dest}: must be a finite"):
+                    option.parse(text)
