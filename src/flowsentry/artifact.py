@@ -17,6 +17,7 @@ bit-exact and serialization is byte-deterministic (no timestamps).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from .detector import ThresholdModel
 from .errors import CorruptArtifact, InvalidConfig, VersionMismatch
 from .ingest import NormalizationStats
-from .model import AutoencoderModel, ModelConfig, init_model
+from .model import AutoencoderModel, ModelConfig, param_layout
 
 MAGIC = b"FSNT"
 FORMAT_VERSION = 1
@@ -95,26 +96,23 @@ def from_bytes(data: bytes) -> Artifact:
     except (ValueError, KeyError, TypeError, InvalidConfig) as exc:
         raise CorruptArtifact(f"malformed header: {exc}") from None
 
+    expected = {name: shape for name, (shape, _) in param_layout(config).items()}
+    if header.get("has_norm_stats"):
+        expected["norm.min"] = expected["norm.max"] = (config.input_dim,)
     payload = data[header_end:]
     tensors: dict[str, np.ndarray] = {}
-    for entry in directory:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * count
-        if end > len(payload):
-            raise CorruptArtifact(f"truncated payload for tensor {entry['name']!r}")
-        tensor = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64).reshape(shape)
+    for name, (start, end) in _tensor_ranges(directory, expected, len(payload)).items():
+        tensor = np.frombuffer(payload[start:end], dtype="<f8").astype(np.float64)
         if not np.isfinite(tensor).all():
-            raise CorruptArtifact(f"non-finite values in tensor {entry['name']!r}")
-        tensors[entry["name"]] = tensor
+            raise CorruptArtifact(f"non-finite values in tensor {name!r}")
+        tensors[name] = tensor.reshape(expected[name])
 
     norm_stats = None
     if header.get("has_norm_stats"):
         try:
             norm_stats = NormalizationStats(tensors.pop("norm.min"), tensors.pop("norm.max"))
-        except KeyError:
-            raise CorruptArtifact("normalization tensors missing") from None
+        except ValueError as exc:
+            raise CorruptArtifact(f"malformed normalization stats: {exc}") from None
 
     threshold = None
     if header.get("threshold") is not None:
@@ -123,17 +121,48 @@ def from_bytes(data: bytes) -> Artifact:
         except (TypeError, ValueError) as exc:
             raise CorruptArtifact(f"malformed threshold: {exc}") from None
 
-    expected = init_model(config).params
-    if set(tensors) != set(expected) or any(
-        tensors[k].shape != expected[k].shape for k in expected
-    ):
-        raise CorruptArtifact("tensor directory does not match the model config")
-
     return Artifact(
         AutoencoderModel(config, tensors, norm_stats),
         threshold,
         header.get("metadata"),
     )
+
+
+def _tensor_ranges(
+    directory: object, expected: dict[str, tuple[int, ...]], payload_len: int
+) -> dict[str, tuple[int, int]]:
+    """Check the tensor directory against the expected name -> shape table
+    and the payload length, before any tensor is allocated, and return each
+    tensor's byte range in the payload."""
+    if not isinstance(directory, list):
+        raise CorruptArtifact("tensor directory is not a list")
+    ranges: dict[str, tuple[int, int]] = {}
+    for entry in directory:
+        if not isinstance(entry, dict) or not {"name", "offset", "shape"} <= entry.keys():
+            raise CorruptArtifact("tensor entry needs a name, an offset and a shape")
+        name, offset, shape = entry["name"], entry["offset"], entry["shape"]
+        if not isinstance(name, str):
+            raise CorruptArtifact(f"tensor name {name!r} is not a string")
+        if not isinstance(shape, list) or not all(_is_count(v) for v in (offset, *shape)):
+            raise CorruptArtifact(f"tensor {name!r} needs a non-negative integer offset and shape")
+        if name in ranges:
+            raise CorruptArtifact(f"duplicate tensor {name!r}")
+        if expected.get(name) != tuple(shape):
+            raise CorruptArtifact("tensor directory does not match the model config")
+        ranges[name] = (offset, offset + 8 * math.prod(shape))
+        if ranges[name][1] > payload_len:
+            raise CorruptArtifact(f"truncated payload for tensor {name!r}")
+    if ranges.keys() != expected.keys():
+        raise CorruptArtifact("tensor directory does not match the model config")
+    by_start = sorted(ranges.items(), key=lambda item: item[1])
+    for (a, (_, a_end)), (b, (b_start, _)) in zip(by_start, by_start[1:]):
+        if b_start < a_end:
+            raise CorruptArtifact(f"tensors {a!r} and {b!r} overlap")
+    return ranges
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
 
 
 def save_artifact(

@@ -11,14 +11,13 @@ default of its dataclass field.
 from __future__ import annotations
 
 import configparser
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .errors import EmptyFile, InvalidConfig
-from .ingest import FlowSchema, check_delimiter
+from .errors import InvalidConfig
+from .ingest import FlowSchema, check_delimiter, read_header
 from .model import MODE_DETERMINISTIC, ModelConfig
 from .rng import derive_seed
 from .sequencing import TripletConfig
@@ -52,8 +51,9 @@ class PipelineConfig:
     def __post_init__(self):
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile must lie in (0, 100]")
-        if self.smote_multiplier is not None and self.smote_multiplier < 1.0:
-            raise ValueError("smote multiplier must be >= 1")
+        multiplier = self.smote_multiplier
+        if multiplier is not None and not (math.isfinite(multiplier) and multiplier >= 1.0):
+            raise ValueError("smote multiplier must be finite and >= 1")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
         SmoteConfig(target_count=0, k_neighbors=self.smote_k)
@@ -184,11 +184,7 @@ def load_config_values(path: str | Path) -> dict[str, object]:
 
 def _header_features(path: str | Path, schema: Mapping[str, object]) -> tuple[str, ...]:
     """Every header column of the flow CSV except the label and category."""
-    with Path(path).open(newline="") as fh:
-        delimiter = schema.get("delimiter", FlowSchema.delimiter)
-        header = next(csv.reader(fh, delimiter=delimiter), None)
-    if header is None:
-        raise EmptyFile(f"{path} has no header row")
+    header = read_header(path, schema.get("delimiter", FlowSchema.delimiter))
     skip = {
         schema.get("label_column", FlowSchema.label_column),
         schema.get("attack_category_column", FlowSchema.attack_category_column),

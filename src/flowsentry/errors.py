@@ -27,6 +27,16 @@ class ShortRow(FlowSentryError):
         self.row = row
 
 
+class UndecodableText(FlowSentryError):
+    """A CSV row holds bytes that are not valid text in the file's encoding."""
+
+    def __init__(self, path, row: int | None, encoding: str):
+        where = "the header row" if row is None else f"data row {row}"
+        super().__init__(f"{path}: {where} is not valid {encoding} text")
+        self.path = path
+        self.row = row
+
+
 class EmptyFile(FlowSentryError):
     """The CSV file has no header row."""
 

@@ -5,9 +5,12 @@ Flows are kept columnar in a :class:`FlowTable`.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
+import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence as TypingSequence
 
@@ -21,6 +24,7 @@ from .errors import (
     NoBenignRecords,
     NonNumericValue,
     ShortRow,
+    UndecodableText,
 )
 from .rng import rng_from
 
@@ -147,19 +151,170 @@ def load_flows(path: str | Path, schema: FlowSchema) -> FlowTable:
     A file without a header row raises :class:`EmptyFile`; a header-only
     file yields an empty table. Non-numeric feature cells raise
     :class:`NonNumericValue` with the offending data-row index and column,
-    and a data row with fewer cells than the header raises :class:`ShortRow`.
+    a data row with fewer cells than the header raises :class:`ShortRow`,
+    and a row holding bytes that are not text in the file's encoding
+    raises :class:`UndecodableText`.
+
+    Plain files take a columnar fast path; every other file is parsed row
+    by row with the ``csv`` module. Both give the same table.
     """
     path = Path(path)
+    table = _load_columnar(path, schema)
+    return table if table is not None else _load_csv(path, schema)
+
+
+def read_header(path: str | Path, delimiter: str) -> list[str]:
+    """The header row of a CSV, as :func:`load_flows` reads it."""
+    with Path(path).open(newline="", errors="surrogateescape") as fh:
+        lines = _CheckedLines(fh)
+        header = next(csv.reader(lines, delimiter=delimiter), None)
+    if header is None:
+        raise EmptyFile(f"{path} has no header row")
+    if lines.undecodable:
+        raise UndecodableText(path, None, fh.encoding)
+    return header
+
+
+def _required_columns(schema: FlowSchema) -> list[str]:
+    required = list(schema.feature_columns) + [schema.label_column]
+    if schema.attack_category_column is not None:
+        required.append(schema.attack_category_column)
+    return required
+
+
+class _CheckedLines:
+    """The lines of a text file opened with ``errors="surrogateescape"``;
+    ``undecodable`` turns true once a line holds bytes the file's encoding
+    cannot decode."""
+
+    _ESCAPED = re.compile("[\udc80-\udcff]")
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.undecodable = False
+
+    def __iter__(self):
+        for line in self.fh:
+            if not line.isascii() and self._ESCAPED.search(line):
+                self.undecodable = True
+            yield line
+
+
+# Bytes the columnar parser reads at a time. It holds one block's lines and
+# cells besides the growing table; 256 KiB parses as fast as larger blocks.
+_BLOCK_BYTES = 1 << 18
+
+
+def _load_columnar(path: Path, schema: FlowSchema) -> FlowTable | None:
+    """Parse a flow CSV in bounded byte blocks, one column at a time.
+
+    Each block is cut at its last newline and split into lines and cells in
+    bulk. Feature cells are converted by Python's ``float`` on their bytes,
+    labels compared as bytes, and category cells decoded once per block, so
+    the table equals the ``csv`` path's bit for bit. Returns None, and the
+    caller parses the file with the ``csv`` module, for anything read
+    otherwise there: a file not opened as UTF-8, a quote character, a NUL
+    byte, a carriage return outside a CRLF pair, bytes that are not UTF-8,
+    a header without every required column, a row whose cell count differs
+    from the header's, a line longer than the ``csv`` field limit or the
+    block, and a cell that is not a finite float.
+    """
+    delimiter = schema.delimiter
+    if not delimiter.isascii() or delimiter in '"\r\n\0':
+        return None
+    sep = delimiter.encode()
+    # a lone surrogate in the label matches no UTF-8 cell, as on the csv path
+    benign = schema.benign_label_value.encode("utf-8", "surrogatepass")
+    n_features = schema.n_features
+    header: list[str] | None = None
+    features: list[np.ndarray] = [np.empty((0, n_features))]
+    attacks: list[np.ndarray] = [np.empty(0, dtype=bool)]
+    cats: list[str | None] = []
     with path.open(newline="") as fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
+        if codecs.lookup(fh.encoding).name != "utf-8":
+            return None
+        pending = b""
+        while True:
+            block = fh.buffer.read(_BLOCK_BYTES)
+            data = pending + block
+            if not data:
+                break
+            cut = data.rfind(b"\n") + 1 if block else len(data)
+            if not cut:
+                if len(data) > _BLOCK_BYTES:
+                    return None
+                pending = data
+                continue
+            chunk, pending = data[:cut], data[cut:]
+            if b'"' in chunk or b"\0" in chunk:
+                return None
+            if b"\r" in chunk:
+                if chunk.count(b"\r") != chunk.count(b"\r\n"):
+                    return None
+                chunk = chunk.replace(b"\r\n", b"\n")
+            if not chunk.isascii():
+                try:
+                    chunk.decode("utf-8")
+                except UnicodeDecodeError:
+                    return None
+            lines = chunk.split(b"\n")
+            if not lines[-1]:
+                lines.pop()
+            if header is None:
+                header = lines.pop(0).decode("utf-8").split(delimiter)
+                required = _required_columns(schema)
+                if not set(required) <= set(header):
+                    return None
+                n_cols = len(header)
+                columns = [header.index(c) for c in required]
+                label_col = columns[n_features]
+                cat_col = columns[-1] if schema.attack_category_column is not None else None
+            if b"" in lines:
+                lines = [line for line in lines if line]
+            if not lines:
+                continue
+            if max(map(len, lines)) > csv.field_size_limit():
+                return None
+            if list(map(bytes.count, lines, repeat(sep))).count(n_cols - 1) != len(lines):
+                return None
+            n = len(lines)
+            cells = sep.join(lines).split(sep)
+            values = np.empty((n, n_features))
+            try:
+                for k, j in enumerate(columns[:n_features]):
+                    values[:, k] = np.fromiter(map(float, cells[j::n_cols]), np.float64, n)
+            except ValueError:
+                return None
+            if not np.isfinite(values).all():
+                return None
+            features.append(values)
+            attacks.append(np.fromiter(map(benign.__ne__, cells[label_col::n_cols]), bool, n))
+            if cat_col is None:
+                cats.extend([None] * n)
+            else:
+                names = b"\n".join(cells[cat_col::n_cols]).decode("utf-8").split("\n")
+                none_if_empty = {name: name or None for name in set(names)}
+                cats.extend(map(none_if_empty.__getitem__, names))
+    if header is None:
+        return None
+    return FlowTable(
+        np.concatenate(features), np.concatenate(attacks), cats, np.arange(len(cats))
+    )
+
+
+def _load_csv(path: Path, schema: FlowSchema) -> FlowTable:
+    """Parse a flow CSV row by row with the ``csv`` module."""
+    with path.open(newline="", errors="surrogateescape") as fh:
+        lines = _CheckedLines(fh)
+        reader = csv.reader(lines, delimiter=schema.delimiter)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyFile(f"{path} has no header row") from None
+        if lines.undecodable:
+            raise UndecodableText(path, None, fh.encoding)
 
-        required = list(schema.feature_columns) + [schema.label_column]
-        if schema.attack_category_column is not None:
-            required.append(schema.attack_category_column)
+        required = _required_columns(schema)
         missing = [c for c in required if c not in header]
         if missing:
             raise MissingColumn(f"{path} is missing columns: {', '.join(missing)}")
@@ -178,6 +333,8 @@ def load_flows(path: str | Path, schema: FlowSchema) -> FlowTable:
         cats: list[str | None] = []
         row_index = 0
         for row in reader:
+            if lines.undecodable:
+                raise UndecodableText(path, row_index, fh.encoding)
             if not row:
                 continue
             if len(row) < len(header):

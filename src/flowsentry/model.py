@@ -12,6 +12,7 @@ output layer. All parameters live in float64 numpy arrays keyed by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -51,8 +52,9 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("input_dim", "hidden_dim", "latent_dim", "num_layers"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise InvalidConfig(f"{name} must be an integer >= 1")
         if self.mode not in (MODE_DETERMINISTIC, MODE_VARIATIONAL):
             raise InvalidConfig(f"unknown mode {self.mode!r}")
 
@@ -120,39 +122,40 @@ def _layer_dims(cfg: ModelConfig) -> list[int]:
     return [cfg.input_dim] + [cfg.hidden_dim] * (cfg.num_layers - 1)
 
 
+def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Name -> (shape, fan-in) of every parameter, in initialization order.
+
+    LSTM biases use the hidden size as fan-in; linear biases use their
+    layer's input size.
+    """
+    H, Z = cfg.hidden_dim, cfg.latent_dim
+    layout: dict[str, tuple[tuple[int, ...], int]] = {}
+    for prefix in ("enc", "dec"):
+        for layer, D in enumerate(_layer_dims(cfg)):
+            layout[f"{prefix}{layer}.W"] = ((4 * H, D), D)
+            layout[f"{prefix}{layer}.U"] = ((4 * H, H), H)
+            layout[f"{prefix}{layer}.b"] = ((4 * H,), H)
+    for head in ("mu", "logvar") if cfg.variational else ("lat",):
+        layout[f"{head}.W"] = ((Z, H), H)
+        layout[f"{head}.b"] = ((Z,), H)
+    layout["seed.W"] = ((H, Z), Z)
+    layout["seed.b"] = ((H,), Z)
+    layout["out.W"] = ((cfg.input_dim, H), H)
+    layout["out.b"] = ((cfg.input_dim,), H)
+    return layout
+
+
 def init_model(
     cfg: ModelConfig, norm_stats: NormalizationStats | None = None
 ) -> AutoencoderModel:
-    """Initialize parameters from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)).
-
-    LSTM biases use the hidden size as fan-in; linear biases use their
-    layer's input size. Deterministic per config seed.
+    """Initialize parameters from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
+    with the fan-in of :func:`param_layout`. Deterministic per config seed.
     """
     rng = rng_from(cfg.seed)
-    H, Z = cfg.hidden_dim, cfg.latent_dim
     params: dict[str, np.ndarray] = {}
-
-    def uniform(shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    for name, (shape, fan_in) in param_layout(cfg).items():
         limit = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-limit, limit, shape)
-
-    for prefix in ("enc", "dec"):
-        for layer, D in enumerate(_layer_dims(cfg)):
-            params[f"{prefix}{layer}.W"] = uniform((4 * H, D), D)
-            params[f"{prefix}{layer}.U"] = uniform((4 * H, H), H)
-            params[f"{prefix}{layer}.b"] = uniform((4 * H,), H)
-    if cfg.variational:
-        params["mu.W"] = uniform((Z, H), H)
-        params["mu.b"] = uniform((Z,), H)
-        params["logvar.W"] = uniform((Z, H), H)
-        params["logvar.b"] = uniform((Z,), H)
-    else:
-        params["lat.W"] = uniform((Z, H), H)
-        params["lat.b"] = uniform((Z,), H)
-    params["seed.W"] = uniform((H, Z), Z)
-    params["seed.b"] = uniform((H,), Z)
-    params["out.W"] = uniform((cfg.input_dim, H), H)
-    params["out.b"] = uniform((cfg.input_dim,), H)
+        params[name] = rng.uniform(-limit, limit, shape)
     return AutoencoderModel(cfg, params, norm_stats)
 
 

@@ -7,10 +7,12 @@ with a noise-augmented copy and a temporally distinct benign sequence.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NeedAtLeastTwoSequences, SequenceLongerThanData
 from .ingest import ATTACK, BENIGN, FlowTable
@@ -51,20 +53,40 @@ class TripletConfig:
             raise ValueError("sequence_length must be >= 1")
         if self.stride is not None and self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
+            raise ValueError("noise_scale must be finite and >= 0")
 
     @property
     def effective_stride(self) -> int:
         return self.sequence_length if self.stride is None else self.stride
 
 
-def _dominant_category(categories: list[str]) -> str | None:
-    if not categories:
-        return None
-    counts = Counter(categories)
-    # ties broken lexicographically
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+def _dominant_categories(
+    flows: FlowTable, starts: np.ndarray, length: int
+) -> list[str | None]:
+    """Most frequent category among each window's attack flows, ties broken
+    lexicographically; None for a window without a categorized attack flow."""
+    names = sorted(set(flows.categories) - {None})
+    if not names:
+        return [None] * len(starts)
+    code_of = {name: k for k, name in enumerate(names)}
+    codes = np.fromiter(map(code_of.get, flows.categories, repeat(-1)), np.int64, len(flows))
+    codes[~flows.is_attack] = -1
+    window_codes = codes[starts[:, None] + np.arange(length)]
+    window = np.broadcast_to(np.arange(len(starts))[:, None], window_codes.shape)
+    keep = window_codes >= 0
+    # per-window counts of each code, ordered by (window, code)
+    keys, counts = np.unique(window[keep] * len(names) + window_codes[keep], return_counts=True)
+    window, code = np.divmod(keys, len(names))
+    # a stable sort on (window, -count) keeps the smallest code first among ties
+    order = np.lexsort((-counts, window))
+    window, code = window[order], code[order]
+    first = np.ones(len(window), dtype=bool)
+    first[1:] = window[1:] != window[:-1]
+    dominant: list[str | None] = [None] * len(starts)
+    for w, k in zip(window[first].tolist(), code[first].tolist()):
+        dominant[w] = names[k]
+    return dominant
 
 
 def build_sequences(
@@ -72,7 +94,8 @@ def build_sequences(
 ) -> list[Sequence]:
     """Window a flow table into sequences starting at 0, stride, 2*stride, ...
 
-    The trailing partial window is discarded.
+    The trailing partial window is discarded. Each sequence's values are a
+    read-only view into the table's features.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -83,29 +106,22 @@ def build_sequences(
         raise SequenceLongerThanData(
             f"window of {length} flows requested but table has {len(flows)}"
         )
-    sequences = []
-    for start in range(0, len(flows) - length + 1, stride):
-        window = slice(start, start + length)
-        attack_mask = flows.is_attack[window]
-        n_attack = int(attack_mask.sum())
-        is_attack = 2 * n_attack > length  # strict majority
-        category = None
-        if is_attack:
-            cats = [
-                c
-                for c, a in zip(flows.categories[window], attack_mask)
-                if a and c is not None
-            ]
-            category = _dominant_category(cats)
-        sequences.append(
-            Sequence(
-                values=flows.features[window].copy(),
-                label=ATTACK if is_attack else BENIGN,
-                category=category,
-                start_index=start,
-            )
+    windows = sliding_window_view(flows.features, (length, flows.n_features))[::stride, 0]
+    starts = np.arange(0, len(flows) - length + 1, stride)
+    attack_count = np.concatenate(([0], np.cumsum(flows.is_attack)))
+    is_attack = 2 * (attack_count[starts + length] - attack_count[starts]) > length  # strict majority
+    categories: list[str | None] = [None] * len(starts)
+    attack_windows = np.flatnonzero(is_attack)
+    if attack_windows.size:
+        dominant = _dominant_categories(flows, starts[attack_windows], length)
+        for w, category in zip(attack_windows.tolist(), dominant):
+            categories[w] = category
+    return [
+        Sequence(values, ATTACK if attack else BENIGN, category, start)
+        for values, attack, category, start in zip(
+            windows, is_attack.tolist(), categories, starts.tolist()
         )
-    return sequences
+    ]
 
 
 def make_triplets(benign_sequences: list[Sequence], cfg: TripletConfig) -> list[Triplet]:

@@ -56,14 +56,14 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam_rec <= 1.0 or not 0.0 <= self.lam_tml <= 1.0:
             raise ValueError("loss weights must lie in [0, 1]")
-        if self.lam_kl < 0:
-            raise ValueError("lam_kl must be >= 0")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
+        if not math.isfinite(self.lam_kl) or self.lam_kl < 0:
+            raise ValueError("lam_kl must be finite and >= 0")
+        for name in ("margin", "learning_rate", "clip_norm"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -278,7 +278,7 @@ class Adam:
 
 def _clip_global_norm(grads: dict[str, np.ndarray], names: list[str], max_norm: float) -> None:
     total = math.sqrt(sum(float(np.sum(grads[k] * grads[k])) for k in names))
-    if total > max_norm > 0:
+    if total > max_norm:
         scale = max_norm / total
         for k in names:
             grads[k] *= scale

@@ -161,6 +161,22 @@ class TestDetect:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("text, where", [
+        (b"f0,label\n0.5,benign\n0.7,b\xffnign\n", "data row 1"),
+        (b"f\xff0,label\n0.5,benign\n", "the header row"),
+    ])
+    def test_undecodable_bytes_exit_1(self, corpus, tmp_path, capsys, text, where):
+        _, _, model = corpus
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text)
+        rc = run("detect", "--model", model, "--flows", bad, "--out", tmp_path / "v.csv",
+                 "--sequence-length", 1)
+        assert rc == 1
+        err = capsys.readouterr().err
+        with bad.open() as fh:
+            encoding = fh.encoding
+        assert err == f"flowsentry: UndecodableText: {bad}: {where} is not valid {encoding} text\n"
+
 class TestEval:
     def test_report_files(self, corpus, tmp_path):
         _, flows, model = corpus

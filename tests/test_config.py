@@ -119,3 +119,20 @@ def test_non_finite_values_rejected_before_the_dataclasses():
             for text in ("nan", "inf", "-inf"):
                 with pytest.raises(InvalidConfig, match=f"^{option.dest}: must be a finite"):
                     option.parse(text)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["smote_multiplier", "noise_scale"])
+def test_non_finite_pipeline_floats_rejected(field, bad):
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        PipelineConfig(schema=schema(), **{field: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["percentile", "train_fraction"])
+def test_two_sided_ranges_reject_non_finite(field, bad):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(schema=schema(), **{field: bad})

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,44 @@ class TestBuildSequences:
         assert seq.category is None
 
 
+    def test_values_are_read_only_views_of_the_table(self):
+        table = make_table([[i, -i] for i in range(12)])
+        seqs = build_sequences(table, 4, 3)
+        for seq in seqs:
+            assert np.shares_memory(seq.values, table.features)
+            assert not seq.values.flags.writeable
+            np.testing.assert_array_equal(
+                seq.values, table.features[seq.start_index : seq.start_index + 4]
+            )
+        with pytest.raises(ValueError):
+            seqs[0].values[0, 0] = 1.0
+
+    @given(
+        n=st.integers(1, 40),
+        length=st.integers(1, 12),
+        stride=st.one_of(st.none(), st.integers(1, 6)),
+        attacks=st.lists(st.booleans(), min_size=40, max_size=40),
+        categories=st.lists(st.sampled_from([None, "", "dos", "recon", "Recon", "a"]),
+                            min_size=40, max_size=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_labels_and_categories_match_a_window_loop(
+        self, n, length, stride, attacks, categories
+    ):
+        length = min(length, n)
+        table = make_table([[float(i)] for i in range(n)], attacks[:n], categories[:n])
+        seqs = build_sequences(table, length, stride)
+        starts = range(0, n - length + 1, stride or length)
+        assert [s.start_index for s in seqs] == list(starts)
+        for seq, start in zip(seqs, starts):
+            window = range(start, start + length)
+            n_attack = sum(attacks[i] for i in window)
+            assert seq.is_attack == (2 * n_attack > length)
+            counts = Counter(categories[i] for i in window if attacks[i] and categories[i] is not None)
+            expected = min(counts, key=lambda c: (-counts[c], c)) if counts and seq.is_attack else None
+            assert seq.category == expected
+
+
 class TestMakeTriplets:
     def _seqs(self, count=4, L=6, n=2, seed=0):
         rng = np.random.default_rng(seed)
@@ -126,6 +166,11 @@ class TestMakeTriplets:
         same_start = [benign_sequence(np.zeros((3, 1)), 0) for _ in range(3)]
         with pytest.raises(NeedAtLeastTwoSequences):
             make_triplets(same_start, TripletConfig(seed=0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_noise_scale_rejected(self, bad):
+        with pytest.raises(ValueError, match="noise_scale"):
+            TripletConfig(noise_scale=bad)
 
     def test_rejects_attack_sequences(self):
         seqs = self._seqs(count=3)

@@ -47,6 +47,21 @@ def micro_triplets(count=4, L=4, n=2, seed=0):
     ]
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field", ["lam_rec", "lam_tml", "lam_kl", "margin", "learning_rate", "clip_norm"]
+    )
+    def test_non_finite_floats_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["margin", "learning_rate", "clip_norm"])
+    def test_positive_floats_reject_zero(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 0.0})
+
+
 class TestTripletMarginLoss:
     def test_boundary_zero(self):
         a = np.zeros(2)
