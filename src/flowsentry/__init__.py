@@ -6,7 +6,7 @@ codes), thresholded at a percentile of benign reconstruction errors, and
 evaluated with benign/anomaly accuracy, precision, recall, and F1.
 """
 
-from .detector import ThresholdModel, Verdict, calibrate, classify, classify_many
+from .detector import ThresholdModel, calibrate, classify_many
 from .evaluator import (
     ConfusionCounts,
     EvalReport,
@@ -34,7 +34,7 @@ from .model import (
     init_model,
     reconstruction_error,
 )
-from .sequencing import Sequence, Triplet, TripletConfig, build_sequences, make_triplets
+from .sequencing import TripletConfig, Triplets, Windows, build_sequences, make_triplets
 from .smote import SmoteConfig, smote_oversample
 from .trainer import (
     FreezeSpec,
@@ -58,17 +58,15 @@ __all__ = [
     "LatentCode",
     "ModelConfig",
     "NormalizationStats",
-    "Sequence",
     "SmoteConfig",
     "ThresholdModel",
     "TrainConfig",
     "TrainReport",
-    "Triplet",
     "TripletConfig",
-    "Verdict",
+    "Triplets",
+    "Windows",
     "build_sequences",
     "calibrate",
-    "classify",
     "classify_many",
     "compute_metrics",
     "decode",

@@ -95,6 +95,13 @@ def from_bytes(data: bytes) -> Artifact:
         directory = header["tensors"]
     except (ValueError, KeyError, TypeError, InvalidConfig) as exc:
         raise CorruptArtifact(f"malformed header: {exc}") from None
+    if not isinstance(directory, list):
+        raise CorruptArtifact("tensor directory is not a list")
+    # Each layer has six tensors (W, U and b of the encoder and the decoder
+    # LSTM), so a layer count the directory cannot list is rejected before
+    # its layout is built, however large it is.
+    if 6 * config.num_layers > len(directory):
+        raise CorruptArtifact("tensor directory does not match the model config")
 
     expected = {name: shape for name, (shape, _) in param_layout(config).items()}
     if header.get("has_norm_stats"):
@@ -129,13 +136,11 @@ def from_bytes(data: bytes) -> Artifact:
 
 
 def _tensor_ranges(
-    directory: object, expected: dict[str, tuple[int, ...]], payload_len: int
+    directory: list, expected: dict[str, tuple[int, ...]], payload_len: int
 ) -> dict[str, tuple[int, int]]:
     """Check the tensor directory against the expected name -> shape table
     and the payload length, before any tensor is allocated, and return each
     tensor's byte range in the payload."""
-    if not isinstance(directory, list):
-        raise CorruptArtifact("tensor directory is not a list")
     ranges: dict[str, tuple[int, int]] = {}
     for entry in directory:
         if not isinstance(entry, dict) or not {"name", "offset", "shape"} <= entry.keys():

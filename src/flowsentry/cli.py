@@ -19,7 +19,7 @@ from .config import OPTIONS, PipelineConfig, load_config_values, pipeline_config
 from .detector import calibrate, classify_many
 from .errors import DimensionMismatch, FlowSentryError
 from .evaluator import evaluate_detector
-from .ingest import fit_normalizer, load_flows, normalize, split_benign
+from .ingest import ATTACK, BENIGN, fit_normalizer, load_flows, normalize, split_benign
 from .model import AutoencoderModel, init_model
 from .rng import derive_seed
 from .sequencing import build_sequences, make_triplets
@@ -113,9 +113,9 @@ def _prepare_training_data(args, cfg: PipelineConfig):
                 seed=derive_seed(cfg.seed, "smote"),
             ),
         )
-    train_seqs = build_sequences(benign_train, cfg.sequence_length, cfg.stride)
-    triplets = make_triplets(train_seqs, cfg.triplet_config())
-    return table, benign_test, stats, train_seqs, triplets
+    train_windows = build_sequences(benign_train, cfg.sequence_length, cfg.stride)
+    triplets = make_triplets(train_windows, cfg.triplet_config())
+    return table, benign_test, stats, train_windows, triplets
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +130,10 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
-    _, _, stats, train_seqs, triplets = _prepare_training_data(args, cfg)
+    _, _, stats, train_windows, triplets = _prepare_training_data(args, cfg)
     model = init_model(cfg.model_config(), stats)
     report = train(triplets, model, cfg.train)
-    threshold = calibrate(model, train_seqs, cfg.percentile)
+    threshold = calibrate(model, train_windows.values, cfg.percentile)
     save_artifact(args.model_out, model, threshold, metadata=asdict(cfg.train))
     report_path = Path(args.report_out or f"{args.model_out}.train.csv")
     _write_train_report(report_path, report)
@@ -163,8 +163,8 @@ def cmd_calibrate(args) -> int:
     art, table = _load_scoring(args, cfg, need_threshold=False)
     model = art.model
     benign = normalize(table.benign_only(), model.norm_stats)
-    sequences = build_sequences(benign, cfg.sequence_length, cfg.stride)
-    threshold = calibrate(model, sequences, cfg.percentile)
+    windows = build_sequences(benign, cfg.sequence_length, cfg.stride)
+    threshold = calibrate(model, windows.values, cfg.percentile)
     out = args.model_out or args.model
     save_artifact(out, model, threshold, metadata=art.metadata)
     print(out)
@@ -180,11 +180,13 @@ def cmd_detect(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["start_index", "score", "verdict"])
         if len(table) > 0:
-            sequences = build_sequences(
+            windows = build_sequences(
                 normalize(table, model.norm_stats), cfg.sequence_length, cfg.stride
             )
-            for seq, verdict in zip(sequences, classify_many(model, threshold, sequences)):
-                writer.writerow([str(seq.start_index), _fmt(verdict.score), verdict.label])
+            scores, flagged = classify_many(model, threshold, windows.values)
+            for start, score, attack in zip(windows.starts.tolist(), scores.tolist(),
+                                            flagged.tolist()):
+                writer.writerow([str(start), _fmt(score), ATTACK if attack else BENIGN])
     print(out)
     return 0
 
@@ -193,18 +195,15 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     art, table = _load_scoring(args, cfg)
     model, threshold = art.model, art.threshold
-    sequences = build_sequences(
+    windows = build_sequences(
         normalize(table, model.norm_stats), cfg.sequence_length, cfg.stride
     )
-    benign = [s for s in sequences if not s.is_attack]
-    attacks = [s for s in sequences if s.is_attack]
     report, codes = evaluate_detector(
         model,
         threshold,
-        benign,
-        attacks,
+        windows[~windows.is_attack],
+        windows[windows.is_attack],
         pr_percentiles=_comma_floats(args.pr_percentiles),
-        include_categories=cfg.schema.attack_category_column is not None and bool(attacks),
     )
 
     out_dir = Path(args.out_dir)
@@ -251,16 +250,14 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve(args)
-    table, benign_test, stats, train_seqs, triplets = _prepare_training_data(args, cfg)
-    benign_test_seqs = build_sequences(
-        normalize(benign_test, stats), cfg.sequence_length, cfg.stride
-    )
-    all_seqs = build_sequences(normalize(table, stats), cfg.sequence_length, cfg.stride)
-    attack_seqs = [s for s in all_seqs if s.is_attack]
+    table, benign_test, stats, train_windows, triplets = _prepare_training_data(args, cfg)
+    windows = build_sequences(normalize(table, stats), cfg.sequence_length, cfg.stride)
     eval_data = SweepEvalData(
-        calibration_sequences=train_seqs,
-        benign_test_sequences=benign_test_seqs,
-        attack_sequences=attack_seqs,
+        calibration_sequences=train_windows,
+        benign_test_sequences=build_sequences(
+            normalize(benign_test, stats), cfg.sequence_length, cfg.stride
+        ),
+        attack_sequences=windows[windows.is_attack],
         percentile=cfg.percentile,
     )
     rec_values = _comma_floats(args.grid_rec) if args.grid_rec else DEFAULT_GRID
@@ -284,7 +281,7 @@ def cmd_sweep(args) -> int:
 def cmd_transfer(args) -> int:
     cfg = _resolve(args, lambda_rec=1.0, lambda_tml=0.0)
     pretrained = load_artifact(args.model).model
-    _, _, stats, train_seqs, triplets = _prepare_training_data(args, cfg)
+    _, _, stats, train_windows, triplets = _prepare_training_data(args, cfg)
     n_target = stats.n_features
 
     frozen = FREEZE_REGIMES[args.freeze]
@@ -311,7 +308,7 @@ def cmd_transfer(args) -> int:
         )
 
     report = train(triplets, model, cfg.train, FreezeSpec(frozen))
-    threshold = calibrate(model, train_seqs, cfg.percentile)
+    threshold = calibrate(model, train_windows.values, cfg.percentile)
     save_artifact(
         args.model_out, model, threshold,
         metadata={**asdict(cfg.train), "freeze": args.freeze},
@@ -468,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except FlowSentryError as exc:
         print(f"flowsentry: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"flowsentry: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"flowsentry: {exc}", file=sys.stderr)

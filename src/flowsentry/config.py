@@ -159,8 +159,9 @@ _SECTIONS = {o.section for o in OPTIONS}
 def load_config_values(path: str | Path) -> dict[str, object]:
     """Read an INI config file into a dict of cast values keyed by dest.
 
-    A file configparser cannot read, or a section or key that no option
-    names, raises :class:`InvalidConfig`.
+    A file configparser cannot read, bytes that are not text in the file's
+    encoding, or a section or key that no option names, raise
+    :class:`InvalidConfig`.
     """
     parser = configparser.ConfigParser()
     try:
@@ -170,6 +171,8 @@ def load_config_values(path: str | Path) -> dict[str, object]:
         items += [(s, k, parser.get(s, k)) for s in parser.sections() for k in parser[s]]
     except configparser.Error as exc:
         raise InvalidConfig(f"{path}: {' '.join(str(exc).split())}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: not valid {exc.encoding} text") from None
     for section in parser.sections():
         if section not in _SECTIONS:
             raise InvalidConfig(f"{path}: unknown section [{section}]")

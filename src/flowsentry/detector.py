@@ -1,9 +1,9 @@
 """Percentile threshold calibration over benign reconstruction errors and
-sequence classification.
+window classification.
 
 The threshold is the configured percentile (linear interpolation between
 closest ranks) of the unweighted reconstruction errors of the benign
-training sequences. A sequence is flagged attack iff its score exceeds the
+training windows. A window is flagged attack iff its score exceeds the
 threshold strictly; a score exactly at the threshold stays benign.
 """
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCalibrationSet
-from .ingest import ATTACK, BENIGN
 from .model import AutoencoderModel, decode_batch, encode_batch
 from .sequencing import Sequence
 
@@ -34,50 +33,32 @@ class ThresholdModel:
             raise ValueError("threshold must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class Verdict:
-    label: str
-    score: float
-
-    @property
-    def is_attack(self) -> bool:
-        return self.label == ATTACK
-
-
 def score_windows(
-    model: AutoencoderModel,
-    sequences: list[Sequence],
-    chunk: int = 512,
+    model: AutoencoderModel, windows: np.ndarray, chunk: int = 512
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sequence anomaly scores (MSE between each sequence and its
-    reconstruction) and latent codes, from one encode and one decode of
-    each chunk. Sequences must share one length."""
-    scores = np.empty(len(sequences))
-    codes = np.empty((len(sequences), model.config.latent_dim))
-    if not sequences:
-        return scores, codes
-    lengths = {s.length for s in sequences}
-    if len(lengths) != 1:
-        raise ValueError("sequences must share one length for batched scoring")
-    L = lengths.pop()
-    for lo in range(0, len(sequences), chunk):
-        hi = min(lo + chunk, len(sequences))
-        X = np.stack([s.values for s in sequences[lo:hi]])
+    """Per-window anomaly scores (MSE between each window and its
+    reconstruction) and latent codes of a (W, L, n) tensor, from one encode
+    and one decode of each chunk."""
+    scores = np.empty(len(windows))
+    codes = np.empty((len(windows), model.config.latent_dim))
+    for lo in range(0, len(windows), chunk):
+        X = np.ascontiguousarray(windows[lo : lo + chunk])
         # keep_cache=False (positional): scoring never backpropagates
         z = encode_batch(model, X, None, False).z
-        diff = decode_batch(model, z, L, False).outputs - X
-        scores[lo:hi] = np.mean(diff * diff, axis=(1, 2))
-        codes[lo:hi] = z
+        diff = decode_batch(model, z, X.shape[1], False).outputs - X
+        scores[lo : lo + chunk] = np.mean(diff * diff, axis=(1, 2))
+        codes[lo : lo + chunk] = z
     return scores, codes
 
 
 def reconstruction_errors(
-    model: AutoencoderModel,
-    sequences: list[Sequence],
-    chunk: int = 512,
+    model: AutoencoderModel, windows: np.ndarray | list[Sequence], chunk: int = 512
 ) -> np.ndarray:
-    """Per-sequence anomaly scores of :func:`score_windows`."""
-    return score_windows(model, sequences, chunk)[0]
+    """Per-window anomaly scores of :func:`score_windows`. A list of
+    :class:`Sequence` records is scored as the stack of their values."""
+    if isinstance(windows, list):
+        windows = np.asarray([s.values for s in windows], dtype=np.float64)
+    return score_windows(model, windows, chunk)[0]
 
 
 def percentile_threshold(errors: np.ndarray, percentile: float) -> float:
@@ -91,38 +72,28 @@ def percentile_threshold(errors: np.ndarray, percentile: float) -> float:
 
 
 def calibrate(
-    model: AutoencoderModel,
-    benign_train_sequences: list[Sequence],
-    percentile: float = 99.0,
+    model: AutoencoderModel, benign_windows: np.ndarray, percentile: float = 99.0
 ) -> ThresholdModel:
-    """Calibrate the detection threshold on benign training sequences.
+    """Calibrate the detection threshold on a (W, L, n) tensor of benign
+    training windows.
 
     Errors are the raw reconstruction MSEs, never scaled by the training
     loss weights.
     """
-    if not benign_train_sequences:
-        raise EmptyCalibrationSet("calibration needs at least one benign sequence")
-    errors = reconstruction_errors(model, benign_train_sequences)
+    if not len(benign_windows):
+        raise EmptyCalibrationSet("calibration needs at least one benign window")
+    errors = reconstruction_errors(model, benign_windows)
     return ThresholdModel(
         threshold=percentile_threshold(errors, percentile),
         percentile=percentile,
-        calibration_count=len(benign_train_sequences),
+        calibration_count=len(benign_windows),
     )
 
 
-def classify(
-    model: AutoencoderModel, threshold: ThresholdModel, seq: Sequence
-) -> Verdict:
-    """Score one sequence and compare against the calibrated threshold."""
-    score = float(reconstruction_errors(model, [seq])[0])
-    return Verdict(ATTACK if score > threshold.threshold else BENIGN, score)
-
-
 def classify_many(
-    model: AutoencoderModel, threshold: ThresholdModel, sequences: list[Sequence]
-) -> list[Verdict]:
-    scores = reconstruction_errors(model, sequences)
-    return [
-        Verdict(ATTACK if s > threshold.threshold else BENIGN, float(s))
-        for s in scores
-    ]
+    model: AutoencoderModel, threshold: ThresholdModel, windows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of a (W, L, n) tensor of windows, and whether each is flagged
+    attack (score strictly above the threshold)."""
+    scores = reconstruction_errors(model, windows)
+    return scores, scores > threshold.threshold

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyCalibrationSet, InsufficientCodes, UnknownCategory
 from .detector import ThresholdModel, percentile_threshold, score_windows
 from .model import AutoencoderModel, LatentCode
-from .sequencing import Sequence
+from .sequencing import Windows
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def counts_from_scores(
 def per_category_eval(
     benign_scores: np.ndarray,
     attack_scores: np.ndarray,
-    attack_categories: list[str | None],
+    attack_categories: np.ndarray | list[str | None],
     threshold: float,
 ) -> dict[str, CategoryMetrics]:
     """Anomaly accuracy / precision / recall per attack category, each
@@ -175,38 +175,36 @@ def latent_cohesion(codes: Iterable[LatentCode] | np.ndarray) -> float:
 
 
 def benign_latent_codes(
-    model: AutoencoderModel, sequences: list[Sequence], chunk: int = 512
+    model: AutoencoderModel, windows: np.ndarray, chunk: int = 512
 ) -> np.ndarray:
-    """Latent codes of the given sequences as a (count, latent_dim) matrix."""
-    return score_windows(model, sequences, chunk)[1]
+    """Latent codes of a (W, L, n) tensor of windows as a (W, latent_dim)
+    matrix."""
+    return score_windows(model, windows, chunk)[1]
 
 
 def evaluate_detector(
     model: AutoencoderModel,
     threshold: ThresholdModel,
-    benign_sequences: list[Sequence],
-    attack_sequences: list[Sequence],
+    benign: Windows,
+    attacks: Windows,
     pr_percentiles: Iterable[float] = (),
-    include_categories: bool = False,
 ) -> tuple[EvalReport, np.ndarray]:
     """Score every window once and assemble the full evaluation report at a
     calibrated threshold from those scores.
 
-    Returns the report and the benign latent codes, a (len(benign),
-    latent_dim) matrix from the same pass.
+    The per-category report is made when any attack window carries a
+    category. Returns the report and the benign latent codes, a
+    (len(benign), latent_dim) matrix from the same pass.
     """
-    benign_scores, benign_codes = score_windows(model, benign_sequences)
-    attack_scores, _ = score_windows(model, attack_sequences)
+    benign_scores, benign_codes = score_windows(model, benign.values)
+    attack_scores, _ = score_windows(model, attacks.values)
     counts = counts_from_scores(benign_scores, attack_scores, threshold.threshold)
     summary = compute_metrics(counts)
 
     per_category: dict[str, CategoryMetrics] = {}
-    if include_categories and attack_sequences:
+    if any(c is not None for c in attacks.categories):
         per_category = per_category_eval(
-            benign_scores,
-            attack_scores,
-            [s.category for s in attack_sequences],
-            threshold.threshold,
+            benign_scores, attack_scores, attacks.categories, threshold.threshold
         )
 
     pr_curve: tuple[PRPoint, ...] = ()
@@ -215,7 +213,7 @@ def evaluate_detector(
         pr_curve = pr_across_percentiles(benign_scores, attack_scores, percentiles)
 
     cohesion = None
-    if len(benign_sequences) >= 2:
+    if len(benign) >= 2:
         cohesion = latent_cohesion(benign_codes)
 
     report = EvalReport(

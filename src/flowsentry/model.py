@@ -1,4 +1,4 @@
-"""Recurrent encoder-decoder over flow sequences, with an optional
+"""Recurrent encoder-decoder over flow windows, with an optional
 variational mode.
 
 The encoder is a stacked LSTM whose final hidden state is projected to the
@@ -21,7 +21,6 @@ from .errors import DimensionMismatch, InvalidConfig
 from .ingest import NormalizationStats
 from .lstm import LstmCache, lstm_backward, lstm_forward
 from .rng import derive_seed, rng_from
-from .sequencing import Sequence
 
 MODE_DETERMINISTIC = "deterministic"
 MODE_VARIATIONAL = "variational"
@@ -338,24 +337,22 @@ def decode_backward(
     return d_h0 @ p["seed.W"]
 
 
-def _as_matrix(seq: Sequence | np.ndarray) -> np.ndarray:
-    values = seq.values if isinstance(seq, Sequence) else np.asarray(seq, dtype=np.float64)
+def _as_matrix(x: np.ndarray) -> np.ndarray:
+    values = np.asarray(x, dtype=np.float64)
     if values.ndim != 2:
-        raise DimensionMismatch("sequence values must be a (length, n) matrix")
+        raise DimensionMismatch("window values must be a (length, n) matrix")
     return values
 
 
 def encode(
-    model: AutoencoderModel,
-    seq: Sequence | np.ndarray,
-    eta: np.ndarray | None = None,
+    model: AutoencoderModel, x: np.ndarray, eta: np.ndarray | None = None
 ) -> LatentCode:
-    """Encode one sequence to its latent code.
+    """Encode one (length, n) window to its latent code.
 
     In variational mode the code is the reparameterized sample
     z = mean + exp(log_variance / 2) * eta with a seeded eta.
     """
-    values = _as_matrix(seq)
+    values = _as_matrix(x)
     state = encode_batch(model, values[None, :, :], eta=None if eta is None else eta[None, :])
     if model.config.variational:
         return LatentCode(state.z[0], state.mean[0], state.log_variance[0])
@@ -372,7 +369,7 @@ def decode(
     return decode_batch(model, z[None, :], length).outputs[0]
 
 
-def reconstruction_error(x: Sequence | np.ndarray, x_hat: np.ndarray) -> float:
+def reconstruction_error(x: np.ndarray, x_hat: np.ndarray) -> float:
     """Mean squared difference over all length * n elements."""
     values = _as_matrix(x)
     x_hat = np.asarray(x_hat, dtype=np.float64)
@@ -382,9 +379,9 @@ def reconstruction_error(x: Sequence | np.ndarray, x_hat: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def reconstruct(model: AutoencoderModel, seq: Sequence | np.ndarray) -> np.ndarray:
-    """Encode then decode a sequence at its own length."""
-    values = _as_matrix(seq)
+def reconstruct(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
+    """Encode then decode a (length, n) window at its own length."""
+    values = _as_matrix(x)
     return decode(model, encode(model, values), values.shape[0])
 
 

@@ -38,7 +38,7 @@ from .model import (
     zero_grads,
 )
 from .rng import derive_seed, rng_from
-from .sequencing import Sequence, Triplet
+from .sequencing import Triplets, Windows
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,9 @@ def triplet_margin_loss(
     return max(d_ap - d_an + margin, 0.0)
 
 
-def _stack_triplets(triplets: list[Triplet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    A = np.stack([t.anchor.values for t in triplets])
-    P = np.stack([t.positive.values for t in triplets])
-    N = np.stack([t.negative.values for t in triplets])
-    return A, P, N
+def _batch(triplets: Triplets, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchors, positives and negatives of the triplets ``idx``."""
+    return triplets.anchors[idx], triplets.positives[idx], triplets.anchors[triplets.negatives[idx]]
 
 
 def _draw_etas(
@@ -239,15 +237,15 @@ def loss_and_grads(
 
 
 def joint_loss(
-    triplets: list[Triplet],
+    triplets: Triplets,
     model: AutoencoderModel,
     cfg: TrainConfig,
     etas: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Scalar joint loss over a triplet batch."""
-    if not triplets:
+    if not len(triplets):
         raise EmptyBatch("loss requested on an empty batch")
-    A, P, N = _stack_triplets(triplets)
+    A, P, N = _batch(triplets, np.arange(len(triplets)))
     parts, _ = loss_and_grads(model, A, P, N, cfg, etas, want_grads=False)
     return parts.total
 
@@ -285,7 +283,7 @@ def _clip_global_norm(grads: dict[str, np.ndarray], names: list[str], max_norm: 
 
 
 def train(
-    triplets: list[Triplet],
+    triplets: Triplets,
     model: AutoencoderModel,
     cfg: TrainConfig,
     freeze: FreezeSpec = FreezeSpec(),
@@ -295,13 +293,10 @@ def train(
     Frozen parameter groups are never touched by the optimizer, so they
     stay bit-identical. Deterministic per cfg.seed.
     """
-    if not triplets:
+    if not len(triplets):
         raise EmptyTrainingSet("no triplets to train on")
-    if any(t.anchor.is_attack or t.positive.is_attack or t.negative.is_attack for t in triplets):
-        raise ValueError("training triplets must be benign")
 
-    A, P, N = _stack_triplets(triplets)
-    total = A.shape[0]
+    total = len(triplets)
     trainable = [k for k in model.param_names() if not freeze.is_frozen(k)]
     opt = Adam(trainable, model.params)
     rng = rng_from(derive_seed(cfg.seed, "train"))
@@ -319,7 +314,7 @@ def train(
         for lo in range(0, total, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             etas = _draw_etas(model, rng, len(idx)) if variational else None
-            parts, grads = loss_and_grads(model, A[idx], P[idx], N[idx], cfg, etas)
+            parts, grads = loss_and_grads(model, *_batch(triplets, idx), cfg, etas)
             if not math.isfinite(parts.total):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
             _clip_global_norm(grads, trainable, cfg.clip_norm)
@@ -347,9 +342,9 @@ DEFAULT_GRID = tuple(round(i / 10, 1) for i in range(11))
 class SweepEvalData:
     """Held-out data each sweep cell is calibrated and scored on."""
 
-    calibration_sequences: list[Sequence]
-    benign_test_sequences: list[Sequence]
-    attack_sequences: list[Sequence]
+    calibration_sequences: Windows
+    benign_test_sequences: Windows
+    attack_sequences: Windows
     percentile: float = 99.0
 
 
@@ -361,7 +356,7 @@ class SweepResult:
 
 
 def sweep(
-    triplets: list[Triplet],
+    triplets: Triplets,
     model_config: ModelConfig,
     train_cfg: TrainConfig,
     eval_data: SweepEvalData,
@@ -372,7 +367,7 @@ def sweep(
 
     Every cell starts from the same seeded initialization and owns an
     independent training stream. Selection maximizes F1 when attack
-    sequences are provided, else benign accuracy at the calibrated
+    windows are provided, else benign accuracy at the calibrated
     threshold.
     """
     from .detector import calibrate
@@ -382,6 +377,11 @@ def sweep(
         raise ValueError("grid values must lie in [0, 1]")
 
     base = init_model(model_config)
+    # the cells are ranked without a per-category report
+    attacks = replace(
+        eval_data.attack_sequences,
+        categories=np.full(len(eval_data.attack_sequences), None, dtype=object),
+    )
     results = []
     for lam_rec in rec_values:
         for lam_tml in tml_values:
@@ -394,18 +394,18 @@ def sweep(
             cell_model = base.copy()
             train(triplets, cell_model, cell_cfg)
             threshold = calibrate(
-                cell_model, eval_data.calibration_sequences, eval_data.percentile
+                cell_model, eval_data.calibration_sequences.values, eval_data.percentile
             )
             report, _ = evaluate_detector(
                 cell_model,
                 threshold,
                 eval_data.benign_test_sequences,
-                eval_data.attack_sequences,
+                attacks,
             )
             results.append(SweepResult(lam_rec, lam_tml, report))
 
     def key(r: SweepResult) -> float:
-        if eval_data.attack_sequences:
+        if len(eval_data.attack_sequences):
             return -1.0 if r.report.f1 is None else r.report.f1
         ba = r.report.benign_accuracy
         return -1.0 if ba is None else ba

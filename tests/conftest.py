@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from flowsentry.ingest import BENIGN, FlowSchema, FlowTable
-from flowsentry.sequencing import Sequence
+from flowsentry.ingest import FlowSchema, FlowTable
+from flowsentry.sequencing import Windows
 
 
 @pytest.fixture
@@ -26,5 +26,12 @@ def make_table(
     return FlowTable(features, attacks, categories, np.arange(start_index, start_index + n))
 
 
-def benign_sequence(values, start_index: int = 0) -> Sequence:
-    return Sequence(np.asarray(values, dtype=np.float64), BENIGN, None, start_index)
+def benign_windows(values, starts) -> Windows:
+    """Benign, uncategorised windows: row i holds ``values[i]`` and starts at
+    flow ``starts[i]``."""
+    return Windows(
+        np.asarray(values, dtype=np.float64),
+        np.asarray(starts, dtype=np.int64),
+        np.zeros(len(starts), dtype=bool),
+        np.full(len(starts), None, dtype=object),
+    )

@@ -25,7 +25,7 @@ from flowsentry.evaluator import (
 from flowsentry.ingest import fit_normalizer, normalize, split_benign
 from flowsentry.model import ModelConfig, init_model, parameter_group, reconstruct, reconstruction_error
 from flowsentry.rng import derive_seed
-from flowsentry.sequencing import Triplet, TripletConfig, build_sequences, make_triplets
+from flowsentry.sequencing import TripletConfig, Triplets, build_sequences, make_triplets
 from flowsentry.smote import SmoteConfig, smote_oversample
 from flowsentry.synthetic import SyntheticSpec, generate_flows, write_flows_csv
 from flowsentry.threat import (
@@ -47,7 +47,6 @@ from flowsentry.trainer import (
     triplet_margin_loss,
 )
 
-from conftest import benign_sequence
 from test_gradients import finite_difference_grads, max_relative_error
 
 
@@ -66,7 +65,7 @@ def pipeline(table, root_seed, train_cfg, percentile=99.0, L=25):
     train_seqs = build_sequences(normalize(benign_train, stats), L, L)
     test_seqs = build_sequences(normalize(benign_test, stats), L, L)
     all_seqs = build_sequences(normalize(table, stats), L, L)
-    attack_seqs = [s for s in all_seqs if s.is_attack]
+    attack_seqs = all_seqs[all_seqs.is_attack]
     triplets = make_triplets(
         train_seqs, TripletConfig(sequence_length=L, noise_scale=0.01,
                                   seed=derive_seed(root_seed, "triplets"))
@@ -76,8 +75,8 @@ def pipeline(table, root_seed, train_cfg, percentile=99.0, L=25):
         stats,
     )
     train(triplets, model, train_cfg)
-    threshold = calibrate(model, train_seqs, percentile)
-    return model, threshold, train_seqs, test_seqs, attack_seqs
+    threshold = calibrate(model, train_seqs.values, percentile)
+    return model, threshold, train_seqs.values, test_seqs.values, attack_seqs.values
 
 
 @pytest.fixture(scope="module")
@@ -118,14 +117,12 @@ def test_c02_overfit_oracle():
     start = time.time()
     rng = np.random.default_rng(7)
     L, n = 25, 8
-    anchor = benign_sequence(rng.uniform(0, 1, (L, n)), 0)
-    positive = benign_sequence(
-        np.clip(anchor.values + rng.uniform(-0.01, 0.01, (L, n)), 0, 1), 0
-    )
-    negative = benign_sequence(rng.uniform(0, 1, (L, n)), L)
+    anchor = rng.uniform(0, 1, (L, n))
+    positive = np.clip(anchor + rng.uniform(-0.01, 0.01, (L, n)), 0, 1)
+    negative = rng.uniform(0, 1, (L, n))
     model = init_model(ModelConfig(input_dim=n, seed=0))
     train(
-        [Triplet(anchor, positive, negative)], model,
+        Triplets(np.stack([anchor, negative]), positive[None], np.array([1])), model,
         TrainConfig(lam_rec=1.0, lam_tml=0.0, epochs=500, batch_size=1,
                     learning_rate=1e-2, seed=1),
     )
@@ -384,7 +381,7 @@ def test_c11_latent_cohesion_direction():
             TrainConfig(lam_rec=0.9, lam_tml=lam_tml, epochs=200,
                         learning_rate=5e-3, seed=derive_seed(0, "training")),
         )
-        cohesion[lam_tml] = latent_cohesion(benign_latent_codes(model, test_seqs))
+        cohesion[lam_tml] = latent_cohesion(benign_latent_codes(model, test_seqs.values))
     criterion(
         11, "latent cohesion smaller with the contrastive term",
         cohesion[0.9] < cohesion[0.0],

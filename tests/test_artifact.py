@@ -173,6 +173,9 @@ HOSTILE = {
     "duplicate-name": (_duplicate, "duplicate tensor"),
     "overlapping-ranges": (_overlap, "overlap"),
     "huge-model": (_huge_model, "does not match"),
+    "huge-layer-count": (
+        lambda h: h["model_config"].update(num_layers=2**40), "does not match"
+    ),
     "missing-tensor": (lambda h: h["tensors"].pop(), "does not match"),
     "float-model-dim": (lambda h: h["model_config"].update(hidden_dim=4.0), "malformed header"),
 }

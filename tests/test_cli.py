@@ -201,6 +201,33 @@ class TestEval:
         assert len(latents[0]) == 8  # latent_dim columns
 
 
+    @pytest.mark.parametrize("blank_rows, rc", [(1200, 0), (600, 1)],
+                             ids=["every-attack-window", "some-attack-windows"])
+    def test_uncategorised_attack_windows(self, corpus, tmp_path, capsys, blank_rows, rc):
+        # the per-category report follows the data: none when no attack
+        # window has a category, UnknownCategory when only some have one
+        _, flows, model = corpus
+        rows = read_csv(flows)
+        col = rows[0].index("category")
+        for row in rows[1 : 1 + blank_rows]:
+            row[col] = ""
+        blanked = tmp_path / "blanked.csv"
+        with blanked.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        out_dir = tmp_path / "report"
+        assert run("eval", "--model", model, "--flows", blanked, "--out-dir", out_dir,
+                   "--category-column", "category", "--sequence-length", 12) == rc
+        assert not (out_dir / "per_category.csv").exists()
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith("flowsentry: UnknownCategory: ") and err.count("\n") == 1
+        else:
+            summary = dict(
+                line.split("=", 1) for line in (out_dir / "summary.txt").read_text().splitlines()
+            )
+            assert int(summary["tp"]) + int(summary["fn"]) > 0  # attack windows were scored
+
+
 class TestCalibrate:
     def test_recalibrate_at_two_percentiles(self, corpus, tmp_path):
         _, flows, model = corpus
@@ -550,6 +577,29 @@ class TestConfigFileRejection:
                               "--config", tmp_path / "nope.ini")
         assert rc == 1
         assert "missing input" in err
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 29.1 TiB for an array with shape (4000000, 1000000) "
+                     "and data type float64"),
+         "Unable to allocate 29.1 TiB for an array with shape (4000000, 1000000) "
+         "and data type float64"),
+        (MemoryError(), "allocation failed"),
+    ], ids=["numpy-message", "bare"])
+    def test_memory_error_exits_1(self, corpus, tmp_path, capsys, monkeypatch, exc, message):
+        from flowsentry import cli
+
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "init_model", no_memory)
+        _, flows, _ = corpus
+        rc, err = train_error(capsys, flows, tmp_path / "m.fsn", "--category-column", "category",
+                              "--hidden-dim", 1000000)
+        assert rc == 1
+        assert err == f"flowsentry: out of memory: {message}\n"
+        assert not (tmp_path / "m.fsn").exists()
 
 
 class TestTransferSmote:

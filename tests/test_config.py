@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsentry.config import PipelineConfig, load_config_values
 from flowsentry.ingest import FlowSchema
@@ -136,3 +138,42 @@ def test_non_finite_pipeline_floats_rejected(field, bad):
 def test_two_sided_ranges_reject_non_finite(field, bad):
     with pytest.raises(ValueError, match=field):
         PipelineConfig(schema=schema(), **{field: bad})
+
+
+def test_undecodable_ini_names_the_file(tmp_path):
+    from flowsentry.errors import InvalidConfig
+
+    path = tmp_path / "c.ini"
+    path.write_bytes(b"[train]\nepochs = 3\xff\n")
+    with pytest.raises(InvalidConfig, match=f"{path}: not valid utf-8 text"):
+        load_config_values(path)
+
+
+# pieces that reach configparser's syntax, its interpolation, the casts and
+# the decoder
+INI_PIECES = [b"\xff", b"\x80", b"\xc3", b"\x00", b"%", b"%(x)s", b"[", b"]", b"=", b":",
+              b"\n", b"\r", b" ", b";", b"#", b"-", b"0", b"9", b"1e999", b"nan", b"9" * 5000,
+              b"[DEFAULT]\n", b"[train]\n", b"epochs = ", b"\t"]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_ini_raises_only_flowsentry_errors(tmp_path_factory, data):
+    import re
+    from pathlib import Path
+
+    from flowsentry.errors import FlowSentryError
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = bytearray(re.findall(r"```ini\n(.*?)```", readme, re.S)[0].encode())
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        piece = data.draw(st.sampled_from(INI_PIECES))
+        cut = data.draw(st.integers(0, 8))  # bytes replaced; 0 inserts
+        text[at : at + cut] = piece if data.draw(st.booleans()) else b""
+    path = tmp_path_factory.mktemp("ini") / "c.ini"
+    path.write_bytes(bytes(text))
+    try:
+        load_config_values(path)
+    except FlowSentryError:
+        pass

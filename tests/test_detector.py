@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from flowsentry.detector import (
     ThresholdModel,
     calibrate,
-    classify,
     classify_many,
     percentile_threshold,
     reconstruction_errors,
 )
 from flowsentry.errors import EmptyCalibrationSet
-from flowsentry.ingest import ATTACK, BENIGN
 from flowsentry.model import ModelConfig, init_model
-
-from conftest import benign_sequence
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +23,7 @@ def model():
 
 def sequences(count=8, L=5, n=2, seed=0):
     rng = np.random.default_rng(seed)
-    return [benign_sequence(rng.uniform(0, 1, (L, n)), i * L) for i in range(count)]
+    return np.stack([rng.uniform(0, 1, (L, n)) for i in range(count)])
 
 
 class TestPercentile:
@@ -107,39 +103,39 @@ class TestCalibrate:
 
 class TestClassify:
     def test_boundary_is_benign(self, model):
-        seq = sequences(count=1, seed=9)[0]
-        score = float(reconstruction_errors(model, [seq])[0])
-        at = classify(model, ThresholdModel(score, 99.0, 1), seq)
-        assert at.label == BENIGN
-        assert at.score == score
-        below = classify(model, ThresholdModel(score * (1 - 1e-9), 99.0, 1), seq)
-        assert below.label == ATTACK
+        seq = sequences(count=1, seed=9)
+        score = float(reconstruction_errors(model, seq)[0])
+        at_scores, at_flagged = classify_many(model, ThresholdModel(score, 99.0, 1), seq)
+        assert not at_flagged[0]
+        assert at_scores[0] == score
+        _, below_flagged = classify_many(model, ThresholdModel(score * (1 - 1e-9), 99.0, 1), seq)
+        assert below_flagged[0]
 
     def test_zero_score_benign_for_positive_threshold(self, model):
-        seq = benign_sequence(np.zeros((4, 2)))
+        seq = np.zeros((1, 4, 2))
         # zero-parameter clone reconstructs zeros exactly
         clone = model.copy()
         for k in clone.params:
             clone.params[k][:] = 0.0
-        verdict = classify(clone, ThresholdModel(0.5, 99.0, 1), seq)
-        assert verdict.score == 0.0
-        assert verdict.label == BENIGN
+        scores, flagged = classify_many(clone, ThresholdModel(0.5, 99.0, 1), seq)
+        assert scores[0] == 0.0
+        assert not flagged[0]
 
     def test_classify_many_matches_single(self, model):
         seqs = sequences(count=6, seed=4)
         thr = calibrate(model, seqs, 95.0)
-        many = classify_many(model, thr, seqs)
-        for seq, verdict in zip(seqs, many):
-            single = classify(model, thr, seq)
-            assert single.label == verdict.label
-            assert single.score == verdict.score
+        many_scores, many_flagged = classify_many(model, thr, seqs)
+        for i in range(len(seqs)):
+            single_scores, single_flagged = classify_many(model, thr, seqs[i : i + 1])
+            assert single_flagged[0] == many_flagged[i]
+            assert single_scores[0] == many_scores[i]
 
     def test_pure_function(self, model):
-        seq = sequences(count=1, seed=5)[0]
+        seq = sequences(count=1, seed=5)
         thr = ThresholdModel(0.1, 99.0, 1)
-        a = classify(model, thr, seq)
-        b = classify(model, thr, seq)
-        assert a == b
+        a = classify_many(model, thr, seq)
+        b = classify_many(model, thr, seq)
+        assert a[0] == b[0] and a[1] == b[1]
 
     def test_chunking_invariance(self, model):
         seqs = sequences(count=10, seed=6)

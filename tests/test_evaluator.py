@@ -18,11 +18,10 @@ from flowsentry.evaluator import (
     per_category_eval,
     pr_across_percentiles,
 )
-from flowsentry.ingest import ATTACK
 from flowsentry.model import LatentCode, ModelConfig, init_model
-from flowsentry.sequencing import Sequence
+from flowsentry.sequencing import Windows
 
-from conftest import benign_sequence
+from conftest import benign_windows
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +29,13 @@ def model():
     return init_model(ModelConfig(input_dim=2, hidden_dim=4, latent_dim=3, seed=1))
 
 
-def attack_sequence(values, category, start):
-    return Sequence(np.asarray(values, dtype=np.float64), ATTACK, category, start)
+def attack_windows(values, categories, starts):
+    return Windows(
+        np.asarray(values, dtype=np.float64),
+        np.asarray(starts, dtype=np.int64),
+        np.ones(len(starts), dtype=bool),
+        np.asarray(categories, dtype=object),
+    )
 
 
 class TestComputeMetrics:
@@ -113,9 +117,9 @@ class TestPerCategory:
 class TestPRAcrossPercentiles:
     def test_separable_case(self, model):
         rng = np.random.default_rng(2)
-        benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(6)]
+        benign = np.stack([rng.uniform(0, 1, (4, 2)) for i in range(6)])
         # attacks far outside the unit box reconstruct terribly
-        attacks = [attack_sequence(rng.uniform(4, 5, (4, 2)), "dos", 100 + i) for i in range(3)]
+        attacks = np.stack([rng.uniform(4, 5, (4, 2)) for i in range(3)])
         points = pr_across_percentiles(
             reconstruction_errors(model, benign), reconstruction_errors(model, attacks), [100.0]
         )
@@ -129,7 +133,7 @@ class TestPRAcrossPercentiles:
 
     def test_fp_counts_non_increasing_in_percentile(self, model):
         rng = np.random.default_rng(3)
-        benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(20)]
+        benign = np.stack([rng.uniform(0, 1, (4, 2)) for i in range(20)])
         points = pr_across_percentiles(
             reconstruction_errors(model, benign), np.zeros(0), [90.0, 95.0, 99.0, 100.0]
         )
@@ -140,19 +144,20 @@ class TestPRAcrossPercentiles:
 class TestEvaluateDetector:
     def test_full_report(self, model):
         rng = np.random.default_rng(4)
-        benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(8)]
-        attacks = [attack_sequence(rng.uniform(4, 5, (4, 2)), "dos", 100 + i) for i in range(4)]
-        thr = calibrate(model, benign, 99.0)
+        benign = benign_windows([rng.uniform(0, 1, (4, 2)) for i in range(8)], [i * 4 for i in range(8)])
+        attacks = attack_windows([rng.uniform(4, 5, (4, 2)) for i in range(4)], ["dos"] * 4,
+                                 [100 + i for i in range(4)])
+        thr = calibrate(model, benign.values, 99.0)
         report, codes = evaluate_detector(
             model, thr, benign, attacks,
-            pr_percentiles=[90.0, 99.0], include_categories=True,
+            pr_percentiles=[90.0, 99.0],
         )
         assert report.counts.total == 12
         assert report.anomaly_accuracy == pytest.approx(100.0)
         assert "dos" in report.per_category
         assert len(report.pr_curve) == 2
         assert report.latent_cohesion == latent_cohesion(codes)
-        np.testing.assert_array_equal(codes, benign_latent_codes(model, benign))
+        np.testing.assert_array_equal(codes, benign_latent_codes(model, benign.values))
 
     def test_each_window_encoded_and_decoded_once(self, model, monkeypatch):
         rows = {"encode_batch": 0, "decode_batch": 0}
@@ -171,13 +176,13 @@ class TestEvaluateDetector:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name))
         rng = np.random.default_rng(5)
-        benign = [benign_sequence(rng.uniform(0, 1, (4, 2)), i * 4) for i in range(8)]
-        attacks = [attack_sequence(rng.uniform(4, 5, (4, 2)), c, 100 + i)
-                   for i, c in enumerate(["dos", "recon", "dos"])]
+        benign = benign_windows([rng.uniform(0, 1, (4, 2)) for i in range(8)], [i * 4 for i in range(8)])
+        attacks = attack_windows([rng.uniform(4, 5, (4, 2)) for c in ["dos", "recon", "dos"]],
+                                 ["dos", "recon", "dos"], [100 + i for i in range(3)])
         thr = ThresholdModel(threshold=0.5, percentile=99.0, calibration_count=8)
         evaluate_detector(
             model, thr, benign, attacks,
-            pr_percentiles=[90.0, 95.0, 99.0], include_categories=True,
+            pr_percentiles=[90.0, 95.0, 99.0],
         )
         assert rows == {"encode_batch": 11, "decode_batch": 11}
 

@@ -25,8 +25,6 @@ from flowsentry.model import (
     zero_grads,
 )
 
-from conftest import benign_sequence
-
 
 def ref_sigmoid(x):
     z = np.exp(-np.abs(x))
@@ -239,7 +237,7 @@ def test_cache_free_scoring_equals_cached_scoring(mode, num_layers):
     model = init_model(cfg)
     rng = np.random.default_rng(6)
     windows = rng.uniform(0, 1, (9, 6, 3))
-    scores, codes = score_windows(model, [benign_sequence(w, 6 * i) for i, w in enumerate(windows)], chunk=4)
+    scores, codes = score_windows(model, windows, chunk=4)
 
     z = np.concatenate([encode_batch(model, windows[lo : lo + 4]).z for lo in (0, 4, 8)])
     outputs = np.concatenate([decode_batch(model, z[lo : lo + 4], 6).outputs for lo in (0, 4, 8)])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from flowsentry.errors import DimensionMismatch, InvalidConfig
-from flowsentry.ingest import BENIGN
 from flowsentry.model import (
     GROUP_DECODER_CORE,
     GROUP_ENCODER,
@@ -17,10 +16,8 @@ from flowsentry.model import (
     reconstruct,
     reconstruction_error,
 )
-from flowsentry.sequencing import Sequence, Triplet
+from flowsentry.sequencing import Triplets
 from flowsentry.trainer import TrainConfig, train
-
-from conftest import benign_sequence
 
 
 class TestConfigAndInit:
@@ -112,11 +109,11 @@ class TestForward:
     def test_trained_model_sensitive_to_timestep_order(self):
         rng = np.random.default_rng(2)
         model = init_model(ModelConfig(input_dim=2, hidden_dim=8, latent_dim=4, seed=2))
-        seqs = [benign_sequence(rng.uniform(0, 1, (6, 2)), i * 6) for i in range(4)]
-        triplets = [Triplet(s, s, seqs[(i + 1) % 4]) for i, s in enumerate(seqs)]
+        seqs = np.stack([rng.uniform(0, 1, (6, 2)) for i in range(4)])
+        triplets = Triplets(seqs, seqs, (np.arange(4) + 1) % 4)
         train(triplets, model, TrainConfig(lam_rec=1.0, lam_tml=0.0, epochs=40,
                                            batch_size=4, learning_rate=5e-3, seed=0))
-        x = seqs[0].values
+        x = seqs[0]
         permuted = x[::-1].copy()
         assert not np.allclose(encode(model, x).z, encode(model, permuted).z)
 
@@ -184,7 +181,7 @@ class TestReconstructionError:
             reconstruction_error(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_sequence_input(self):
-        seq = Sequence(np.zeros((2, 2)), BENIGN, None, 0)
+        seq = np.zeros((2, 2))
         assert reconstruction_error(seq, np.ones((2, 2))) == 1.0
 
     def test_reconstruct_shape(self):

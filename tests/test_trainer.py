@@ -14,7 +14,7 @@ from flowsentry.model import (
     reconstruction_error,
     zero_grads,
 )
-from flowsentry.sequencing import Triplet
+from flowsentry.sequencing import Triplets
 from flowsentry.trainer import (
     DEFAULT_GRID,
     FREEZE_REGIMES,
@@ -28,23 +28,14 @@ from flowsentry.trainer import (
     triplet_margin_loss,
 )
 
-from conftest import benign_sequence
+from conftest import benign_windows
 
 
 def micro_triplets(count=4, L=4, n=2, seed=0):
     rng = np.random.default_rng(seed)
-    seqs = [benign_sequence(rng.uniform(0, 1, (L, n)), i * L) for i in range(count)]
-    return [
-        Triplet(
-            s,
-            benign_sequence(
-                np.clip(s.values + rng.uniform(-0.01, 0.01, s.values.shape), 0, 1),
-                s.start_index,
-            ),
-            seqs[(i + 1) % count],
-        )
-        for i, s in enumerate(seqs)
-    ]
+    seqs = np.stack([rng.uniform(0, 1, (L, n)) for i in range(count)])
+    positives = np.stack([np.clip(s + rng.uniform(-0.01, 0.01, s.shape), 0, 1) for s in seqs])
+    return Triplets(seqs, positives, (np.arange(count) + 1) % count)
 
 
 class TestTrainConfig:
@@ -90,16 +81,16 @@ class TestJointLoss:
         value = joint_loss(triplets, model, cfg)
         expected = np.mean(
             [
-                reconstruction_error(t.anchor.values, reconstruct(model, t.anchor.values))
-                for t in triplets
+                reconstruction_error(anchor, reconstruct(model, anchor))
+                for anchor in triplets.anchors
             ]
         )
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_collapsed_triplets_give_margin(self):
         rng = np.random.default_rng(2)
-        seq = benign_sequence(rng.uniform(0, 1, (4, 2)), 0)
-        triplets = [Triplet(seq, seq, seq)] * 3
+        seq = rng.uniform(0, 1, (4, 2))
+        triplets = Triplets(np.stack([seq] * 3), np.stack([seq] * 3), np.zeros(3, dtype=np.int64))
         model = init_model(ModelConfig(input_dim=2, hidden_dim=4, latent_dim=3, seed=1))
         cfg = TrainConfig(lam_rec=0.0, lam_tml=1.0, margin=1.0, epochs=1)
         assert joint_loss(triplets, model, cfg) == pytest.approx(1.0, rel=1e-12)
@@ -121,7 +112,7 @@ class TestJointLoss:
         triplets = micro_triplets(seed=3)
         model = init_model(ModelConfig(input_dim=2, hidden_dim=4, latent_dim=3, seed=3))
         cfg = TrainConfig(lam_rec=0.7, lam_tml=0.0, epochs=1)
-        A = np.stack([t.anchor.values for t in triplets])
+        A = triplets.anchors
         rng = np.random.default_rng(0)
         parts1, g1 = loss_and_grads(model, A, rng.uniform(0, 1, A.shape), rng.uniform(0, 1, A.shape), cfg)
         parts2, g2 = loss_and_grads(model, A, rng.uniform(0, 1, A.shape), rng.uniform(0, 1, A.shape), cfg)
@@ -294,11 +285,12 @@ class TestTrain:
 
 class TestSweep:
     def _eval_data(self, triplets):
-        seqs = [t.anchor for t in triplets]
+        L = triplets.anchors.shape[1]
+        seqs = benign_windows(triplets.anchors, [i * L for i in range(len(triplets))])
         return SweepEvalData(
             calibration_sequences=seqs,
             benign_test_sequences=seqs,
-            attack_sequences=[],
+            attack_sequences=seqs[np.zeros(len(seqs), dtype=bool)],
             percentile=99.0,
         )
 
