@@ -4,6 +4,12 @@ Each synthetic record interpolates between a base record and one of its k
 nearest neighbors under Euclidean distance: s = x + u * (x_nn - x) with
 u ~ U[0, 1]. Base records are cycled round-robin so synthesis is spread
 evenly over the benign set.
+
+The exact neighbour search runs only for the base records that are drawn,
+the first min(synthetic, records) of them, each against every record. It
+works through the queries in row chunks sized so that each (chunk, n)
+distance buffer fits a fixed byte budget, so its working memory does not
+grow with the benign set; its time is still quadratic in it.
 """
 
 from __future__ import annotations
@@ -30,21 +36,34 @@ class SmoteConfig:
             raise ValueError("target_count must be >= 0")
 
 
-def _nearest_neighbors(points: np.ndarray, k: int, chunk: int = 512) -> np.ndarray:
-    """Exact k nearest neighbors (excluding self) by brute-force distance.
+# Bytes of each (chunk, n) float64 buffer in the neighbour search: the
+# products, the distances and argpartition's indices each take one.
+_BLOCK_BYTES = 8 << 20
 
-    Returns an (n, k) index array, neighbors sorted by distance.
+
+def _nearest_neighbors(points: np.ndarray, k: int, n_queries: int) -> np.ndarray:
+    """Exact k nearest neighbors (excluding self) of the first ``n_queries``
+    points among all points, by brute-force distance.
+
+    Returns an (n_queries, k) index array, neighbors sorted by distance.
     """
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
-    out = np.empty((n, k), dtype=np.int64)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = points[lo:hi]
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * block @ points.T
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # exclude self
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        order = np.argsort(np.take_along_axis(d2, part, axis=1), axis=1, kind="stable")
+    chunk = min(max(_BLOCK_BYTES // (8 * n), 1), n_queries)
+    gram = np.empty((chunk, n))
+    d2 = np.empty((chunk, n))
+    out = np.empty((n_queries, k), dtype=np.int64)
+    for lo in range(0, n_queries, chunk):
+        hi = min(lo + chunk, n_queries)
+        g, d = gram[: hi - lo], d2[: hi - lo]
+        np.matmul(points[lo:hi], points.T, out=g)
+        g *= 2.0
+        np.add(sq[lo:hi, None], sq[None, :], out=d)
+        d -= g
+        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # exclude self
+        # copied, so the (chunk, n) indices are freed before the next chunk's
+        part = np.argpartition(d, k - 1, axis=1)[:, :k].copy()
+        order = np.argsort(np.take_along_axis(d, part, axis=1), axis=1, kind="stable")
         out[lo:hi] = np.take_along_axis(part, order, axis=1)
     return out
 
@@ -72,7 +91,7 @@ def smote_oversample(benign_flows: FlowTable, cfg: SmoteConfig) -> FlowTable:
         return benign_flows
 
     points = benign_flows.features
-    neighbors = _nearest_neighbors(points, cfg.k_neighbors)
+    neighbors = _nearest_neighbors(points, cfg.k_neighbors, min(n_synthetic, count))
     rng = rng_from(cfg.seed)
 
     base_idx = np.arange(n_synthetic) % count  # round-robin over the benign set

@@ -10,6 +10,7 @@ benign standard deviation, tagged with cycling category names.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,15 +103,38 @@ def generate_flows(spec: SyntheticSpec) -> FlowTable:
     return FlowTable(values, is_attack, categories, np.arange(spec.n_flows))
 
 
+# Rows formatted and written at a time by write_flows_csv.
+_WRITE_ROWS = 8192
+
+
+def _label_cells(is_attack: bool, category: str | None) -> str:
+    """The label and category cells of a row and its newline, as
+    ``csv.writer`` writes them: a two-cell row quotes each cell as a longer
+    row would (a lone empty cell would be written ``""``)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [ATTACK if is_attack else BENIGN, category or ""]
+    )
+    return buf.getvalue()
+
+
 def write_flows_csv(path: str | Path, table: FlowTable) -> None:
-    """Write a table in the synthetic schema layout (f0..fN, label, category)."""
+    """Write a table in the synthetic schema layout (f0..fN, label, category).
+
+    Feature cells are ``repr`` of each float, which ``csv`` never quotes;
+    the label and category cells are formatted once per distinct pair.
+    """
+    labels = list(zip(table.is_attack.tolist(), table.categories))
+    tails = {key: _label_cells(*key) for key in set(labels)}
+    sep = "," if table.n_features else ""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
+        csv.writer(fh, lineterminator="\n").writerow(
             [f"f{j}" for j in range(table.n_features)] + ["label", "category"]
         )
-        for i in range(len(table)):
-            row = [repr(float(v)) for v in table.features[i]]
-            row.append(ATTACK if table.is_attack[i] else BENIGN)
-            row.append(table.categories[i] or "")
-            writer.writerow(row)
+        for lo in range(0, len(table), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            lines = (
+                ",".join(map(repr, cells)) + sep + tails[key]
+                for cells, key in zip(table.features[lo:hi].tolist(), labels[lo:hi])
+            )
+            fh.write("".join(lines))

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from flowsentry import smote
 from flowsentry.errors import TargetBelowInput, TooFewRecords
+from flowsentry.rng import rng_from
 from flowsentry.smote import SmoteConfig, smote_oversample
 
 from conftest import make_table
@@ -83,3 +87,75 @@ def test_rejects_attack_rows():
     table = make_table([[0.1], [0.2], [0.3]], attacks=[False, True, False])
     with pytest.raises(ValueError):
         smote_oversample(table, SmoteConfig(target_count=5, k_neighbors=1, seed=0))
+
+
+def reference_neighbors(points, k):
+    """Per-row exact neighbours: Euclidean norm, self excluded, stable order."""
+    rows = []
+    for i, p in enumerate(points):
+        dists = np.linalg.norm(points - p, axis=1)
+        dists[i] = np.inf
+        rows.append(np.argsort(dists, kind="stable")[:k])
+    return np.array(rows)
+
+
+def reference_oversample(points, cfg):
+    """SMOTE with the reference neighbours of every row and the same draws."""
+    count = len(points)
+    n_synthetic = cfg.target_count - count
+    neighbors = reference_neighbors(points, cfg.k_neighbors)
+    rng = rng_from(cfg.seed)
+    base_idx = np.arange(n_synthetic) % count
+    pick = rng.integers(0, cfg.k_neighbors, size=n_synthetic)
+    u = rng.uniform(0.0, 1.0, size=n_synthetic)
+    bases = points[base_idx]
+    picked = points[neighbors[base_idx, pick]]
+    return np.vstack([points, bases + u[:, None] * (picked - bases)])
+
+
+def budget_for_rows(n, rows):
+    """The byte budget that makes the neighbour search take `rows` rows a chunk."""
+    return 8 * n * rows
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+@pytest.mark.parametrize("target", [61, 99, 100, 163])  # 50 rows: below, at, above 2x
+def test_oversample_matches_reference_at_any_chunk(monkeypatch, rows, target):
+    rng = np.random.default_rng(21)
+    points = rng.uniform(0, 1, (50, 4))
+    k = 3
+    # distinct distances: the k+1 nearest of every row are well separated
+    dists = np.sort(np.linalg.norm(points[:, None] - points[None], axis=2), axis=1)
+    assert np.diff(dists[:, : k + 2], axis=1).min() > 1e-9
+    monkeypatch.setattr(smote, "_BLOCK_BYTES", budget_for_rows(50, rows))
+    cfg = SmoteConfig(target_count=target, k_neighbors=k, seed=8)
+    out = smote_oversample(make_table(points), cfg)
+    np.testing.assert_array_equal(out.features, reference_oversample(points, cfg))
+
+
+@pytest.mark.parametrize("rows", [1, 7, 40])
+def test_exact_duplicate_is_first_neighbor_never_self(monkeypatch, rows):
+    rng = np.random.default_rng(5)
+    half = rng.uniform(0, 1, (20, 3))
+    order = rng.permutation(40)
+    points = np.vstack([half, half])[order]
+    twin = np.argsort(order)[(order + 20) % 40]  # the row holding the same point
+    monkeypatch.setattr(smote, "_BLOCK_BYTES", budget_for_rows(40, rows))
+    neighbors = smote._nearest_neighbors(points, 4, 40)
+    assert neighbors.shape == (40, 4)
+    np.testing.assert_array_equal(points[neighbors[:, 0]], points)
+    np.testing.assert_array_equal(neighbors[:, 0], twin)
+    assert not (neighbors == np.arange(40)[:, None]).any()
+
+
+def test_neighbor_search_memory_within_budget():
+    points = np.random.default_rng(0).uniform(0, 1, (20_000, 8))
+    tracemalloc.start()
+    try:
+        neighbors = smote._nearest_neighbors(points, 5, 2_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # products, distances and argpartition's indices, the result, and 1 MiB
+    # for the (n,) squared norms and each chunk's (rows, k) scraps
+    assert peak <= 3 * smote._BLOCK_BYTES + neighbors.nbytes + (1 << 20)

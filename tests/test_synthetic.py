@@ -1,6 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
+from flowsentry import synthetic
 from flowsentry.ingest import load_flows
 from flowsentry.synthetic import (
     SyntheticSpec,
@@ -8,6 +11,8 @@ from flowsentry.synthetic import (
     synthetic_schema,
     write_flows_csv,
 )
+
+from conftest import make_table
 
 
 def test_benign_only_corpus():
@@ -77,6 +82,33 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.features, table.features, rtol=0, atol=0)
     np.testing.assert_array_equal(loaded.is_attack, table.is_attack)
     assert loaded.categories == table.categories
+
+
+def reference_csv(path, table):
+    """The table written row by row through ``csv.writer``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"f{j}" for j in range(table.n_features)] + ["label", "category"])
+        for i in range(len(table)):
+            row = [repr(float(v)) for v in table.features[i]]
+            row.append("attack" if table.is_attack[i] else "benign")
+            row.append(table.categories[i] or "")
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 8192])
+@pytest.mark.parametrize("n_features", [0, 1, 3])
+def test_csv_bytes_match_csv_writer(tmp_path, monkeypatch, block_rows, n_features):
+    categories = ["a,b", 'q"t', "line\nbreak", "", None, "plain", " spaced ", "a,b"]
+    attacks = [True, True, True, True, False, True, False, False]
+    values = [0.1, -0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, 123456789.0]
+    features = np.array([np.roll(values, i)[:n_features] for i in range(8)]).reshape(8, -1)
+    table = make_table(features, attacks, categories)
+    monkeypatch.setattr(synthetic, "_WRITE_ROWS", block_rows)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_flows_csv(got, table)
+    reference_csv(want, table)
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_invalid_spec():
