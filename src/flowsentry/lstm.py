@@ -2,10 +2,18 @@
 
 Gate blocks are stacked as (input, forget, cell-candidate, output) along the
 first axis of the weight matrices: W is (4H, D) input-to-hidden, U is (4H, H)
-hidden-to-hidden, b is (4H,). Activations are stored time-major, so each
-step reads and writes contiguous (B, H) and (B, 4H) blocks. All functions
-are pure; forward passes return the cache consumed by the matching backward
-pass.
+hidden-to-hidden, b is (4H,). Activations are stored time-major, and the gate
+activations gate-major as (L, 4, B, H), so every step reads and writes
+contiguous (B, H) blocks. Forward passes return the cache consumed by the
+matching backward pass.
+
+The functions are pure unless handed a ``workspace`` dict. A caller that runs
+one layer again and again (``trainer.train``, batch after batch) passes each
+layer its own dict: the pass then takes its big arrays from it and overwrites
+them instead of allocating new ones, so the previous pass's cache is no
+longer valid. One (B, L, 4H) buffer holds the input projection in the
+forward and dL/d(pre) in the backward, since the projection is dead once the
+forward ends.
 """
 
 from __future__ import annotations
@@ -25,13 +33,42 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(out, z, out=out)
 
 
+def _array(workspace: dict | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: new without a workspace,
+    else the leading part of the workspace's buffer ``name``, which grows to
+    the largest shape asked for."""
+    if workspace is None:
+        return np.empty(shape)
+    size = int(np.prod(shape))
+    buf = workspace.get(name)
+    if buf is None or buf.size < size:
+        buf = workspace[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _blocks(rows: np.ndarray) -> np.ndarray:
+    """The (4, B, H) gate-block view of (B, 4H) rows."""
+    B, H4 = rows.shape
+    return rows.reshape(B, 4, H4 // 4).transpose(1, 0, 2)
+
+
 @dataclass
 class LstmCache:
-    inputs: np.ndarray | None     # (B, L, D); None for all-zero inputs
-    hs: np.ndarray                # (L+1, B, H), hs[0] = h0
-    cs: np.ndarray | None         # (L+1, B, H), cs[0] = c0
-    gates: np.ndarray | None      # (L, B, 4H): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
-    tanh_c: np.ndarray | None     # (L, B, H)
+    inputs: np.ndarray | None       # (B, L, D); None for all-zero inputs
+    hs: np.ndarray                  # (L+1, B, H), hs[0] = h0
+    cs: np.ndarray | None           # (L+1, B, H), cs[0] = c0
+    gate_blocks: np.ndarray | None  # (L, 4, B, H): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
+    tanh_c: np.ndarray | None       # (L, B, H)
+
+    @property
+    def gates(self) -> np.ndarray | None:
+        """A read-only (L, B, 4H) copy of the gate activations."""
+        if self.gate_blocks is None:
+            return None
+        L, _, B, H = self.gate_blocks.shape
+        gates = self.gate_blocks.transpose(0, 2, 1, 3).reshape(L, B, 4 * H)
+        gates.flags.writeable = False
+        return gates
 
     @property
     def outputs(self) -> np.ndarray:
@@ -51,6 +88,8 @@ def lstm_forward(
     h0: np.ndarray | None = None,
     c0: np.ndarray | None = None,
     keep_cache: bool = True,
+    *,
+    workspace: dict | None = None,
 ) -> LstmCache:
     """Unroll one layer over (B, L, D) ``inputs``.
 
@@ -59,47 +98,52 @@ def lstm_forward(
     ``keep_cache`` each step overwrites one gate and cell buffer, so the
     result holds the hidden states only and cannot be backpropagated.
     """
+    H = U.shape[1]
     if isinstance(inputs, tuple):
         (B, L), inputs, x_pre = inputs, None, None
     else:
         B, L, _ = inputs.shape
-        x_pre = inputs @ W.T  # (B, L, 4H), input contribution for all steps
-    H = U.shape[1]
-    # without a cache, slot 0 of gates and tanh_c is reused by every step
-    # and the one cell state is updated in place
+        # the input contribution for all steps; its buffer holds dL/d(pre)
+        # in the backward pass
+        x_pre = np.matmul(inputs, W.T, out=_array(workspace, "pre", (B, L, 4 * H)))
+    # without a cache, slot 0 of gate_blocks and tanh_c is reused by every
+    # step and the one cell state is updated in place
     slots = L if keep_cache else 1
-    hs = np.zeros((L + 1, B, H))
-    cs = np.zeros((L + 1 if keep_cache else 1, B, H))
-    if h0 is not None:
-        hs[0] = h0
-    if c0 is not None:
-        cs[0] = c0
-    gates = np.empty((slots, B, 4 * H))
-    tanh_c = np.empty((slots, B, H))
+    hs = _array(workspace, "hs", (L + 1, B, H))
+    cs = _array(workspace, "cs", (L + 1 if keep_cache else 1, B, H))
+    hs[0] = 0.0 if h0 is None else h0
+    cs[0] = 0.0 if c0 is None else c0
+    gate_blocks = _array(workspace, "gate_blocks", (slots, 4, B, H))
+    tanh_c = _array(workspace, "tanh_c", (slots, B, H))
     pre = np.empty((B, 4 * H))
+    pre_blocks = _blocks(pre)
+    b_blocks = b.reshape(4, 1, H)
     ig = np.empty((B, H))
     UT = U.T
     for t in range(L):
         s = t if keep_cache else 0
-        g, tc = gates[s], tanh_c[s]
+        g, tc = gate_blocks[s], tanh_c[s]
         c_prev, c = (cs[t], cs[t + 1]) if keep_cache else (cs[0], cs[0])
-        # pre = (x_pre + h U^T) + b, in this order: the finite-difference
+        # g = (x_pre + h U^T) + b, in this order: the finite-difference
         # gradient tests sit at their roundoff floor, where reordering these
         # float operations moves the result past their bound
         np.matmul(hs[t], UT, out=pre)
         if x_pre is not None:
-            np.add(x_pre[:, t], pre, out=pre)
-        np.add(pre, b, out=pre)
-        sigmoid(pre, out=g)
-        np.tanh(pre[:, 2 * H : 3 * H], out=g[:, 2 * H : 3 * H])
-        np.multiply(g[:, :H], g[:, 2 * H : 3 * H], out=ig)
-        np.multiply(g[:, H : 2 * H], c_prev, out=c)
+            np.add(_blocks(x_pre[:, t]), pre_blocks, out=g)
+            np.add(g, b_blocks, out=g)
+        else:
+            np.add(pre_blocks, b_blocks, out=g)
+        sigmoid(g[:2], out=g[:2])
+        sigmoid(g[3], out=g[3])
+        np.tanh(g[2], out=g[2])
+        np.multiply(g[0], g[2], out=ig)
+        np.multiply(g[1], c_prev, out=c)
         np.add(c, ig, out=c)
         np.tanh(c, out=tc)
-        np.multiply(g[:, 3 * H :], tc, out=hs[t + 1])
+        np.multiply(g[3], tc, out=hs[t + 1])
     if not keep_cache:
         return LstmCache(inputs, hs, None, None, None)
-    return LstmCache(inputs, hs, cs, gates, tanh_c)
+    return LstmCache(inputs, hs, cs, gate_blocks, tanh_c)
 
 
 def lstm_backward(
@@ -109,6 +153,8 @@ def lstm_backward(
     d_outputs: np.ndarray | None = None,
     d_h_last: np.ndarray | None = None,
     want_d_inputs: bool = True,
+    *,
+    workspace: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
     """Backprop through time.
 
@@ -118,43 +164,43 @@ def lstm_backward(
     (dW, dU, db, d_inputs, d_h0, d_c0); d_inputs is None when the inputs
     were all zero or ``want_d_inputs`` is false, and dW is then exactly zero.
     """
-    if cache.gates is None:
+    if cache.gate_blocks is None:
         raise ValueError("the forward pass kept no cache to backpropagate")
-    gates, tanh_c, cs = cache.gates, cache.tanh_c, cache.cs
-    L, B, H4 = gates.shape
-    H = H4 // 4
-    d_pre = np.empty((B, L, H4))
-    # dL/d(pre) is d = (a * gates) * q, block by block, which keeps the
-    # product order of the per-gate formulas ((dct*g)*i)*(1-i),
-    # ((dct*c_prev)*f)*(1-f) and ((dh*tanh_c)*o)*(1-o); the g block of d is
-    # overwritten with dct*i before the last product, giving (dct*i)*(1-g*g)
-    a = np.zeros((B, H4))  # the g block stays zero
-    q = np.empty((B, H4))
+    gate_blocks, tanh_c, cs = cache.gate_blocks, cache.tanh_c, cache.cs
+    L, _, B, H = gate_blocks.shape
+    H4 = 4 * H
+    d_pre = _array(workspace, "pre", (B, L, H4))
+    # dL/d(pre) is a * q gate by gate, in the product order of the per-gate
+    # formulas: a holds (dct*g)*i, (dct*c_prev)*f, dct*i and (dh*tanh_c)*o,
+    # and q holds 1-i, 1-f, 1-g*g and 1-o
+    a = np.empty((4, B, H))
+    q = np.empty((4, B, H))
     dct = np.empty((B, H))
     dh = np.zeros((B, H)) if d_h_last is None else d_h_last.copy()
     dc = np.zeros((B, H))
     for t in range(L - 1, -1, -1):
         if d_outputs is not None:
             np.add(dh, d_outputs[:, t], out=dh)
-        g, tc, d = gates[t], tanh_c[t], d_pre[:, t]
-        i, f, gg, o = g[:, :H], g[:, H : 2 * H], g[:, 2 * H : 3 * H], g[:, 3 * H :]
-        a_i, a_f, a_o = a[:, :H], a[:, H : 2 * H], a[:, 3 * H :]
-        q_g = q[:, 2 * H : 3 * H]
-        # dct = dc + (dh*o)*(1 - tc*tc), with a_i as scratch for dh*o
+        g, tc, d = gate_blocks[t], tanh_c[t], d_pre[:, t]
+        i, f, gg, o = g
+        # dct = dc + (dh*o)*(1 - tc*tc), with a[0] as scratch for dh*o
         np.multiply(tc, tc, out=dct)
         np.subtract(1.0, dct, out=dct)
-        np.multiply(dh, o, out=a_i)
-        np.multiply(a_i, dct, out=dct)
+        np.multiply(dh, o, out=a[0])
+        np.multiply(a[0], dct, out=dct)
         np.add(dc, dct, out=dct)
-        np.multiply(dct, gg, out=a_i)
-        np.multiply(dct, cs[t], out=a_f)
-        np.multiply(dh, tc, out=a_o)
-        np.multiply(a, g, out=d)
-        np.multiply(dct, i, out=d[:, 2 * H : 3 * H])
-        np.subtract(1.0, g, out=q)
-        np.multiply(gg, gg, out=q_g)
-        np.subtract(1.0, q_g, out=q_g)
-        np.multiply(d, q, out=d)
+        np.multiply(dct, gg, out=a[0])
+        np.multiply(a[0], i, out=a[0])
+        np.multiply(dct, cs[t], out=a[1])
+        np.multiply(a[1], f, out=a[1])
+        np.multiply(dct, i, out=a[2])
+        np.multiply(dh, tc, out=a[3])
+        np.multiply(a[3], o, out=a[3])
+        np.subtract(1.0, g[:2], out=q[:2])
+        np.multiply(gg, gg, out=q[2])
+        np.subtract(1.0, q[2], out=q[2])
+        np.subtract(1.0, o, out=q[3])
+        np.multiply(a, q, out=_blocks(d))
         np.matmul(d, U, out=dh)
         np.multiply(dct, f, out=dc)
 

@@ -181,11 +181,15 @@ def encode_batch(
     X: np.ndarray,
     eta: np.ndarray | None = None,
     keep_cache: bool = True,
+    *,
+    workspace: dict | None = None,
 ) -> EncodeState:
     """Run the stacked encoder over (B, L, n) inputs.
 
     Without ``keep_cache`` the layers keep no gate or cell history, so the
-    state gives the codes but cannot be backpropagated.
+    state gives the codes but cannot be backpropagated. ``workspace`` holds
+    one ``lstm`` workspace per layer, reused by every call that is handed it
+    (see :mod:`flowsentry.lstm`).
     """
     cfg = model.config
     if X.ndim != 3 or X.shape[2] != cfg.input_dim:
@@ -198,7 +202,7 @@ def encode_batch(
     for layer in range(cfg.num_layers):
         cache = lstm_forward(
             p[f"enc{layer}.W"], p[f"enc{layer}.U"], p[f"enc{layer}.b"], current,
-            keep_cache=keep_cache,
+            keep_cache=keep_cache, workspace=_layer_workspace(workspace, f"enc{layer}"),
         )
         caches.append(cache)
         current = cache.outputs
@@ -216,9 +220,15 @@ def encode_batch(
     return EncodeState(caches, z, mean, logvar, mask, eta)
 
 
+def _layer_workspace(workspace: dict | None, layer: str) -> dict | None:
+    return None if workspace is None else workspace.setdefault(layer, {})
+
+
 def _inference_eta(model: AutoencoderModel, batch: int) -> np.ndarray:
-    # One fixed seeded draw per model, tiled over the batch: scores are then
-    # reproducible and identical between single and batched encoding.
+    # One fixed seeded draw per model, tiled over the batch, so scores
+    # reproduce for the same chunking of windows into batches. They may
+    # differ in the last bits between chunkings: a GEMM row's result depends
+    # on the rows batched with it (one-window encoding differs from batched).
     base = rng_from(derive_seed(model.config.seed, "encode-eta")).standard_normal(
         model.config.latent_dim
     )
@@ -232,11 +242,14 @@ def encode_backward(
     grads: dict[str, np.ndarray],
     d_mean_extra: np.ndarray | None = None,
     d_logvar_extra: np.ndarray | None = None,
+    *,
+    workspace: dict | None = None,
 ) -> None:
     """Accumulate gradients of the encoder stack given dL/dz.
 
     ``d_mean_extra`` / ``d_logvar_extra`` carry loss terms that hit the
-    variational heads directly (the KL term).
+    variational heads directly (the KL term). ``workspace`` is the one the
+    forward pass was given.
     """
     cfg = model.config
     p = model.params
@@ -265,7 +278,7 @@ def encode_backward(
         cache = state.caches[layer]
         dW, dU, db, d_inputs, _, _ = lstm_backward(
             p[f"enc{layer}.W"], p[f"enc{layer}.U"], cache, d_outputs, d_h_last,
-            want_d_inputs=layer > 0,
+            want_d_inputs=layer > 0, workspace=_layer_workspace(workspace, f"enc{layer}"),
         )
         grads[f"enc{layer}.W"] += dW
         grads[f"enc{layer}.U"] += dU
@@ -275,12 +288,17 @@ def encode_backward(
 
 
 def decode_batch(
-    model: AutoencoderModel, Z: np.ndarray, length: int, keep_cache: bool = True
+    model: AutoencoderModel,
+    Z: np.ndarray,
+    length: int,
+    keep_cache: bool = True,
+    *,
+    workspace: dict | None = None,
 ) -> DecodeState:
     """Unroll the stacked decoder for ``length`` steps from latent codes.
 
     The first layer's step inputs are all zero, so their projection is
-    skipped. ``keep_cache`` is as in :func:`encode_batch`.
+    skipped. ``keep_cache`` and ``workspace`` are as in :func:`encode_batch`.
     """
     cfg = model.config
     if Z.ndim != 2 or Z.shape[1] != cfg.latent_dim:
@@ -298,6 +316,7 @@ def decode_batch(
             current,
             h0=h0 if layer == 0 else None,
             keep_cache=keep_cache,
+            workspace=_layer_workspace(workspace, f"dec{layer}"),
         )
         caches.append(cache)
         current = cache.outputs
@@ -311,8 +330,11 @@ def decode_backward(
     Z: np.ndarray,
     d_outputs: np.ndarray,
     grads: dict[str, np.ndarray],
+    *,
+    workspace: dict | None = None,
 ) -> np.ndarray:
-    """Accumulate decoder gradients given dL/d(outputs); returns dL/dZ."""
+    """Accumulate decoder gradients given dL/d(outputs); returns dL/dZ.
+    ``workspace`` is the one the forward pass was given."""
     cfg = model.config
     p = model.params
     B, L, _ = d_outputs.shape
@@ -324,7 +346,8 @@ def decode_backward(
     for layer in range(cfg.num_layers - 1, -1, -1):
         cache = state.caches[layer]
         dW, dU, db, d_inputs, dh0, _ = lstm_backward(
-            p[f"dec{layer}.W"], p[f"dec{layer}.U"], cache, d_hs
+            p[f"dec{layer}.W"], p[f"dec{layer}.U"], cache, d_hs,
+            workspace=_layer_workspace(workspace, f"dec{layer}"),
         )
         grads[f"dec{layer}.W"] += dW
         grads[f"dec{layer}.U"] += dU

@@ -148,13 +148,17 @@ def loss_and_grads(
     cfg: TrainConfig,
     etas: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     want_grads: bool = True,
+    *,
+    workspace: dict | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray] | None]:
     """Joint loss and its analytic gradients over a stacked triplet batch.
 
     The three branches share the encoder, so with lam_tml > 0 anchors,
     positives and negatives are encoded and backpropagated as one batch of
     3B rows. When lam_tml is 0 only the anchors are encoded, so the gradient
-    equals the reconstruction-only gradient by construction.
+    equals the reconstruction-only gradient by construction. A ``workspace``
+    (see :mod:`flowsentry.lstm`) lends the recurrent layers their big arrays,
+    which the next call handed it overwrites.
     """
     B, L, _ = A.shape
     if B == 0:
@@ -166,15 +170,18 @@ def loss_and_grads(
 
     use_tml = cfg.lam_tml > 0
     use_rec = cfg.lam_rec > 0
+    # without a workspace the passes are called as plain (model, X, ...)
+    # functions, which is what wrappers of them may assume
+    reuse = {} if workspace is None else {"workspace": workspace}
 
     if use_tml:
         eta = np.concatenate(etas) if variational else None
-        enc = encode_batch(model, np.concatenate([A, P, N]), eta)
+        enc = encode_batch(model, np.concatenate([A, P, N]), eta, **reuse)
         z_a, z_p, z_n = enc.z[:B], enc.z[B : 2 * B], enc.z[2 * B :]
     else:
-        enc = encode_batch(model, A, etas[0] if variational else None)
+        enc = encode_batch(model, A, etas[0] if variational else None, **reuse)
         z_a = enc.z
-    dec = decode_batch(model, z_a, L) if use_rec else None
+    dec = decode_batch(model, z_a, L, **reuse) if use_rec else None
 
     # reconstruction term
     if use_rec:
@@ -211,7 +218,7 @@ def loss_and_grads(
 
     if use_rec:
         d_out = (2.0 * cfg.lam_rec / diff.size) * diff
-        d_za += decode_backward(model, dec, z_a, d_out, grads)
+        d_za += decode_backward(model, dec, z_a, d_out, grads, **reuse)
 
     if use_tml:
         scale = cfg.lam_tml / B
@@ -232,7 +239,7 @@ def loss_and_grads(
         d_mean_extra[:B] = w * mu
         d_logvar_extra[:B] = w * 0.5 * (np.exp(lv) - 1.0)
 
-    encode_backward(model, enc, d_z, grads, d_mean_extra, d_logvar_extra)
+    encode_backward(model, enc, d_z, grads, d_mean_extra, d_logvar_extra, **reuse)
     return parts, grads
 
 
@@ -300,6 +307,9 @@ def train(
     trainable = [k for k in model.param_names() if not freeze.is_frozen(k)]
     opt = Adam(trainable, model.params)
     rng = rng_from(derive_seed(cfg.seed, "train"))
+    # the recurrent layers' big arrays, overwritten by every batch and
+    # dropped when training ends
+    workspace: dict = {}
 
     variational = model.config.variational
     hist = {
@@ -314,7 +324,9 @@ def train(
         for lo in range(0, total, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             etas = _draw_etas(model, rng, len(idx)) if variational else None
-            parts, grads = loss_and_grads(model, *_batch(triplets, idx), cfg, etas)
+            parts, grads = loss_and_grads(
+                model, *_batch(triplets, idx), cfg, etas, workspace=workspace
+            )
             if not math.isfinite(parts.total):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
             _clip_global_norm(grads, trainable, cfg.clip_norm)
