@@ -24,7 +24,7 @@ from .model import AutoencoderModel, init_model
 from .rng import derive_seed
 from .sequencing import build_sequences, make_triplets
 from .smote import SmoteConfig, smote_oversample
-from .synthetic import SyntheticSpec, generate_flows, write_flows_csv
+from .synthetic import _WRITE_ROWS, SyntheticSpec, generate_flows, write_flows_csv
 from .threat import (
     BruteForceParams,
     DosParams,
@@ -171,22 +171,30 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _write_verdict_rows(fh, starts, scores, flagged) -> None:
+    """Verdict CSV rows joined into text blocks, as ``csv.writer`` would
+    write them: no cell needs quoting (an int, a float's ``repr``,
+    attack/benign)."""
+    verdicts = (BENIGN, ATTACK)
+    rows = list(zip(starts.tolist(), scores.tolist(), flagged.tolist()))
+    for lo in range(0, len(rows), _WRITE_ROWS):
+        fh.write("".join(f"{start},{score!r},{verdicts[attack]}\n"
+                         for start, score, attack in rows[lo : lo + _WRITE_ROWS]))
+
+
 def cmd_detect(args) -> int:
     cfg = _resolve(args)
     art, table = _load_scoring(args, cfg)
     model, threshold = art.model, art.threshold
     out = Path(args.out)
     with out.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["start_index", "score", "verdict"])
+        fh.write("start_index,score,verdict\n")
         if len(table) > 0:
             windows = build_sequences(
                 normalize(table, model.norm_stats), cfg.sequence_length, cfg.stride
             )
             scores, flagged = classify_many(model, threshold, windows.values)
-            for start, score, attack in zip(windows.starts.tolist(), scores.tolist(),
-                                            flagged.tolist()):
-                writer.writerow([str(start), _fmt(score), ATTACK if attack else BENIGN])
+            _write_verdict_rows(fh, windows.starts, scores, flagged)
     print(out)
     return 0
 

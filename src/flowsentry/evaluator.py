@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyCalibrationSet, InsufficientCodes, UnknownCategory
-from .detector import ThresholdModel, percentile_threshold, score_windows
+from .detector import CHUNK, ThresholdModel, percentile_threshold, score_windows
 from .model import AutoencoderModel, LatentCode
 from .sequencing import Windows
 
@@ -175,7 +175,7 @@ def latent_cohesion(codes: Iterable[LatentCode] | np.ndarray) -> float:
 
 
 def benign_latent_codes(
-    model: AutoencoderModel, windows: np.ndarray, chunk: int = 512
+    model: AutoencoderModel, windows: np.ndarray, chunk: int = CHUNK
 ) -> np.ndarray:
     """Latent codes of a (W, L, n) tensor of windows as a (W, latent_dim)
     matrix."""

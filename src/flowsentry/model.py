@@ -229,6 +229,8 @@ def _inference_eta(model: AutoencoderModel, batch: int) -> np.ndarray:
     # reproduce for the same chunking of windows into batches. They may
     # differ in the last bits between chunkings: a GEMM row's result depends
     # on the rows batched with it (one-window encoding differs from batched).
+    # Scoring's chunk size is fixed (detector.CHUNK), so scores never depend
+    # on how many threads score the chunks.
     base = rng_from(derive_seed(model.config.seed, "encode-eta")).standard_normal(
         model.config.latent_dim
     )
