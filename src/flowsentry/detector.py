@@ -53,7 +53,8 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 def _scoring_workers(n_chunks: int) -> int:
     """Worker threads for ``n_chunks`` chunks, by the rule in the module
     docstring, read at each call; at most one per chunk. As OpenBLAS does,
-    a variable that holds no positive integer is skipped."""
+    a variable that holds no positive integer is skipped. ``trainer.train``
+    reads the same rule for its two row halves."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -11,6 +11,7 @@ output layer. All parameters live in float64 numpy arrays keyed by name.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterable
@@ -183,13 +184,15 @@ def encode_batch(
     keep_cache: bool = True,
     *,
     workspace: dict | None = None,
+    pool: Executor | None = None,
 ) -> EncodeState:
     """Run the stacked encoder over (B, L, n) inputs.
 
     Without ``keep_cache`` the layers keep no gate or cell history, so the
     state gives the codes but cannot be backpropagated. ``workspace`` holds
-    one ``lstm`` workspace per layer, reused by every call that is handed it
-    (see :mod:`flowsentry.lstm`).
+    one ``lstm`` workspace per layer, reused by every call that is handed it;
+    with it, ``pool`` may run one row half of each layer's loop (see
+    :mod:`flowsentry.lstm`).
     """
     cfg = model.config
     if X.ndim != 3 or X.shape[2] != cfg.input_dim:
@@ -203,6 +206,7 @@ def encode_batch(
         cache = lstm_forward(
             p[f"enc{layer}.W"], p[f"enc{layer}.U"], p[f"enc{layer}.b"], current,
             keep_cache=keep_cache, workspace=_layer_workspace(workspace, f"enc{layer}"),
+            pool=pool,
         )
         caches.append(cache)
         current = cache.outputs
@@ -227,10 +231,13 @@ def _layer_workspace(workspace: dict | None, layer: str) -> dict | None:
 def _inference_eta(model: AutoencoderModel, batch: int) -> np.ndarray:
     # One fixed seeded draw per model, tiled over the batch, so scores
     # reproduce for the same chunking of windows into batches. They may
-    # differ in the last bits between chunkings: a GEMM row's result depends
-    # on the rows batched with it (one-window encoding differs from batched).
-    # Scoring's chunk size is fixed (detector.CHUNK), so scores never depend
-    # on how many threads score the chunks.
+    # differ in the last bits between chunkings, since a GEMM row's result
+    # can depend on the rows batched with it: with numpy's OpenBLAS at
+    # H = 64, only products of 1-4 rows (one-window encoding among them)
+    # round differently from the batched one, but at other hidden sizes
+    # blocks of 25 rows (H = 100) or 96 rows (H = 50) can too. Scoring's
+    # chunk size is fixed (detector.CHUNK), so scores never depend on how
+    # many threads score the chunks.
     base = rng_from(derive_seed(model.config.seed, "encode-eta")).standard_normal(
         model.config.latent_dim
     )
@@ -246,12 +253,13 @@ def encode_backward(
     d_logvar_extra: np.ndarray | None = None,
     *,
     workspace: dict | None = None,
+    pool: Executor | None = None,
 ) -> None:
     """Accumulate gradients of the encoder stack given dL/dz.
 
     ``d_mean_extra`` / ``d_logvar_extra`` carry loss terms that hit the
-    variational heads directly (the KL term). ``workspace`` is the one the
-    forward pass was given.
+    variational heads directly (the KL term). ``workspace`` and ``pool`` are
+    the ones the forward pass was given.
     """
     cfg = model.config
     p = model.params
@@ -281,6 +289,7 @@ def encode_backward(
         dW, dU, db, d_inputs, _, _ = lstm_backward(
             p[f"enc{layer}.W"], p[f"enc{layer}.U"], cache, d_outputs, d_h_last,
             want_d_inputs=layer > 0, workspace=_layer_workspace(workspace, f"enc{layer}"),
+            pool=pool,
         )
         grads[f"enc{layer}.W"] += dW
         grads[f"enc{layer}.U"] += dU
@@ -296,11 +305,13 @@ def decode_batch(
     keep_cache: bool = True,
     *,
     workspace: dict | None = None,
+    pool: Executor | None = None,
 ) -> DecodeState:
     """Unroll the stacked decoder for ``length`` steps from latent codes.
 
     The first layer's step inputs are all zero, so their projection is
-    skipped. ``keep_cache`` and ``workspace`` are as in :func:`encode_batch`.
+    skipped. ``keep_cache``, ``workspace`` and ``pool`` are as in
+    :func:`encode_batch`.
     """
     cfg = model.config
     if Z.ndim != 2 or Z.shape[1] != cfg.latent_dim:
@@ -319,6 +330,7 @@ def decode_batch(
             h0=h0 if layer == 0 else None,
             keep_cache=keep_cache,
             workspace=_layer_workspace(workspace, f"dec{layer}"),
+            pool=pool,
         )
         caches.append(cache)
         current = cache.outputs
@@ -334,9 +346,10 @@ def decode_backward(
     grads: dict[str, np.ndarray],
     *,
     workspace: dict | None = None,
+    pool: Executor | None = None,
 ) -> np.ndarray:
     """Accumulate decoder gradients given dL/d(outputs); returns dL/dZ.
-    ``workspace`` is the one the forward pass was given."""
+    ``workspace`` and ``pool`` are the ones the forward pass was given."""
     cfg = model.config
     p = model.params
     B, L, _ = d_outputs.shape
@@ -349,7 +362,7 @@ def decode_backward(
         cache = state.caches[layer]
         dW, dU, db, d_inputs, dh0, _ = lstm_backward(
             p[f"dec{layer}.W"], p[f"dec{layer}.U"], cache, d_hs,
-            workspace=_layer_workspace(workspace, f"dec{layer}"),
+            workspace=_layer_workspace(workspace, f"dec{layer}"), pool=pool,
         )
         grads[f"dec{layer}.W"] += dW
         grads[f"dec{layer}.U"] += dU

@@ -9,7 +9,9 @@ recurrent stack; the optimizer is Adam with global-norm gradient clipping.
 
 from __future__ import annotations
 
+import contextlib
 import math
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -18,6 +20,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .evaluator import EvalReport
 
+from .detector import _scoring_workers
 from .errors import (
     DimensionMismatch,
     DivergedLoss,
@@ -150,6 +153,7 @@ def loss_and_grads(
     want_grads: bool = True,
     *,
     workspace: dict | None = None,
+    pool: Executor | None = None,
 ) -> tuple[LossParts, dict[str, np.ndarray] | None]:
     """Joint loss and its analytic gradients over a stacked triplet batch.
 
@@ -158,7 +162,8 @@ def loss_and_grads(
     3B rows. When lam_tml is 0 only the anchors are encoded, so the gradient
     equals the reconstruction-only gradient by construction. A ``workspace``
     (see :mod:`flowsentry.lstm`) lends the recurrent layers their big arrays,
-    which the next call handed it overwrites.
+    which the next call handed it overwrites; with it, ``pool`` may run one
+    row half of every recurrence.
     """
     B, L, _ = A.shape
     if B == 0:
@@ -172,7 +177,7 @@ def loss_and_grads(
     use_rec = cfg.lam_rec > 0
     # without a workspace the passes are called as plain (model, X, ...)
     # functions, which is what wrappers of them may assume
-    reuse = {} if workspace is None else {"workspace": workspace}
+    reuse = {} if workspace is None else {"workspace": workspace, "pool": pool}
 
     if use_tml:
         eta = np.concatenate(etas) if variational else None
@@ -298,7 +303,11 @@ def train(
     """Mini-batch gradient training of the joint objective, in place.
 
     Frozen parameter groups are never touched by the optimizer, so they
-    stay bit-identical. Deterministic per cfg.seed.
+    stay bit-identical. Deterministic per cfg.seed, whatever the number of
+    threads: where scoring's worker rule gives two or more workers (see
+    :mod:`flowsentry.detector`), one pool thread runs a row half of every
+    recurrent pass that is cut in two (see :mod:`flowsentry.lstm`), and it
+    has ended when this returns.
     """
     if not len(triplets):
         raise EmptyTrainingSet("no triplets to train on")
@@ -318,26 +327,28 @@ def train(
         "tml": np.zeros(cfg.epochs),
         "kl": np.zeros(cfg.epochs),
     }
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(total)
-        sums = {"joint": 0.0, "rec": 0.0, "tml": 0.0, "kl": 0.0}
-        for lo in range(0, total, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            etas = _draw_etas(model, rng, len(idx)) if variational else None
-            parts, grads = loss_and_grads(
-                model, *_batch(triplets, idx), cfg, etas, workspace=workspace
-            )
-            if not math.isfinite(parts.total):
-                raise DivergedLoss(f"non-finite loss at epoch {epoch}")
-            _clip_global_norm(grads, trainable, cfg.clip_norm)
-            opt.step(model.params, grads, cfg.learning_rate)
-            w = len(idx)
-            sums["joint"] += parts.total * w
-            sums["rec"] += parts.reconstruction * w
-            sums["tml"] += parts.triplet * w
-            sums["kl"] += parts.kl * w
-        for key in sums:
-            hist[key][epoch] = sums[key] / total
+    idle_core = _scoring_workers(2) > 1
+    with ThreadPoolExecutor(1) if idle_core else contextlib.nullcontext() as pool:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(total)
+            sums = {"joint": 0.0, "rec": 0.0, "tml": 0.0, "kl": 0.0}
+            for lo in range(0, total, cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                etas = _draw_etas(model, rng, len(idx)) if variational else None
+                parts, grads = loss_and_grads(
+                    model, *_batch(triplets, idx), cfg, etas, workspace=workspace, pool=pool
+                )
+                if not math.isfinite(parts.total):
+                    raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+                _clip_global_norm(grads, trainable, cfg.clip_norm)
+                opt.step(model.params, grads, cfg.learning_rate)
+                w = len(idx)
+                sums["joint"] += parts.total * w
+                sums["rec"] += parts.reconstruction * w
+                sums["tml"] += parts.triplet * w
+                sums["kl"] += parts.kl * w
+            for key in sums:
+                hist[key][epoch] = sums[key] / total
     return TrainReport(
         joint_loss=hist["joint"],
         reconstruction_loss=hist["rec"],
