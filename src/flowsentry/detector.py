@@ -54,7 +54,8 @@ def _scoring_workers(n_chunks: int) -> int:
     """Worker threads for ``n_chunks`` chunks, by the rule in the module
     docstring, read at each call; at most one per chunk. As OpenBLAS does,
     a variable that holds no positive integer is skipped. ``trainer.train``
-    reads the same rule for its two row halves."""
+    reads the same rule for its two row halves, and SMOTE's neighbour
+    search (``smote._nearest_neighbors``) for its chunks."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform

@@ -178,13 +178,15 @@ def lstm_forward(
     cs[0] = 0.0 if c0 is None else c0
     gate_blocks = _array(workspace, "gate_blocks", (slots, 4, B, H))
     tanh_c = _array(workspace, "tanh_c", (slots, B, H))
-    b_blocks = b.reshape(4, 1, H)
     UT = U.T
 
     def run(lo: int, hi: int) -> None:
         pre = np.empty((hi - lo, 4 * H))
         pre_blocks = _blocks(pre)
         ig = np.empty((hi - lo, H))
+        # the bias as a contiguous (4, rows, H) block: numpy adds a broadcast
+        # (4, 1, H) operand in H-element inner loops
+        b_blocks = np.broadcast_to(b.reshape(4, 1, H), (4, hi - lo, H)).copy()
         for t in range(L):
             s = t if keep_cache else 0
             g, tc = gate_blocks[s, :, lo:hi], tanh_c[s, lo:hi]

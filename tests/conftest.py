@@ -1,3 +1,8 @@
+import importlib
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,3 +40,49 @@ def benign_windows(values, starts) -> Windows:
         np.zeros(len(starts), dtype=bool),
         np.full(len(starts), None, dtype=object),
     )
+
+
+def use_workers(monkeypatch, workers):
+    """Make the worker rule give ``workers``: that many CPUs, one BLAS thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def spy(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def install(traced, stack, calls):
+    """Replace every flowsentry module attribute bound to a function named in
+    ``traced`` ((module, name) pairs) with a wrapper that pushes onto and
+    pops off one shared list, as the benchmark's tracer wraps them."""
+    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "flowsentry"]
+    patched = []
+    for module, name in traced:
+        original = getattr(importlib.import_module(f"flowsentry.{module}"), name)
+
+        def wrapper(*args, _fn=original, _name=name, **kwargs):
+            stack.append(_name)
+            calls.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                stack.pop()
+                calls.append(f"/{_name}")
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    setattr(mod, attr, wrapper)
+                    patched.append((mod, attr, original))
+    return patched

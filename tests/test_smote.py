@@ -115,7 +115,7 @@ def reference_oversample(points, cfg):
 
 def budget_for_rows(n, rows):
     """The byte budget that makes the neighbour search take `rows` rows a chunk."""
-    return 8 * n * rows
+    return smote._IN_FLIGHT * 8 * n * rows
 
 
 @pytest.mark.parametrize("rows", [1, 7, 50])

@@ -4,10 +4,8 @@ writer."""
 
 import contextlib
 import csv
-import importlib
 import io
 import os
-import sys
 import threading
 
 import numpy as np
@@ -18,28 +16,10 @@ from flowsentry.detector import CHUNK, _scoring_workers, score_windows
 from flowsentry.ingest import ATTACK, BENIGN
 from flowsentry.model import ModelConfig, decode_batch, encode_batch, init_model
 
+from conftest import install, use_workers
+
 L, F = 25, 8
 N_WINDOWS = 600  # chunks of 256, 256 and 88
-
-
-def use_workers(monkeypatch, workers):
-    """Make the worker rule give ``workers``: that many CPUs, one BLAS thread."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-
-
-@pytest.fixture
-def threads_started(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def spy(self):
-        started.append(self.name)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    return started
 
 
 MODELS = [("deterministic", 1), ("deterministic", 2), ("variational", 1)]
@@ -234,31 +214,6 @@ TRACED = (("model", "encode_batch"), ("model", "decode_batch"),
           ("detector", "reconstruction_errors"), ("evaluator", "evaluate_detector"))
 
 
-def install(stack, calls):
-    """Replace every flowsentry module attribute bound to a traced function
-    with a wrapper that pushes onto and pops off one shared list."""
-    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "flowsentry"]
-    patched = []
-    for module, name in TRACED:
-        original = getattr(importlib.import_module(f"flowsentry.{module}"), name)
-
-        def traced(*args, _fn=original, _name=name, **kwargs):
-            stack.append(_name)
-            calls.append(_name)
-            try:
-                return _fn(*args, **kwargs)
-            finally:
-                stack.pop()
-                calls.append(f"/{_name}")
-
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    setattr(mod, attr, traced)
-                    patched.append((mod, attr, original))
-    return patched
-
-
 def test_traced_commands_on_two_workers(monkeypatch, corpus, tmp_path, capfd):
     use_workers(monkeypatch, 2)
     plain = tmp_path / "plain"
@@ -271,7 +226,7 @@ def test_traced_commands_on_two_workers(monkeypatch, corpus, tmp_path, capfd):
     stack, calls = [], []
     before = threading.active_count()
     capfd.readouterr()
-    patched = install(stack, calls)
+    patched = install(TRACED, stack, calls)
     try:
         for argv in scoring_commands(corpus, traced_out):
             with contextlib.redirect_stdout(io.StringIO()):

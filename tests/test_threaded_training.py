@@ -3,10 +3,7 @@ loop and with any worker count, where the cut falls, errors and threads,
 and a traced ``train`` run."""
 
 import contextlib
-import importlib
 import io
-import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,27 +16,8 @@ from flowsentry.model import ModelConfig, init_model, parameter_group
 from flowsentry.sequencing import Triplets
 from flowsentry.trainer import FREEZE_REGIMES, FreezeSpec, TrainConfig, train
 
+from conftest import install, use_workers
 from test_lstm import weights
-
-
-def use_workers(monkeypatch, workers):
-    """Make the worker rule give ``workers``: that many CPUs, one BLAS thread."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-
-
-@pytest.fixture
-def threads_started(monkeypatch):
-    started = []
-    start = threading.Thread.start
-
-    def spy(self):
-        started.append(self.name)
-        start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    return started
 
 
 class Recording(ThreadPoolExecutor):
@@ -337,31 +315,6 @@ TRACED = (("model", "encode_batch"), ("model", "decode_batch"),
           ("trainer", "loss_and_grads"), ("trainer", "train"))
 
 
-def install(stack, calls):
-    """Replace every flowsentry module attribute bound to a traced function
-    with a wrapper that pushes onto and pops off one shared list."""
-    modules = [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "flowsentry"]
-    patched = []
-    for module, name in TRACED:
-        original = getattr(importlib.import_module(f"flowsentry.{module}"), name)
-
-        def traced(*args, _fn=original, _name=name, **kwargs):
-            stack.append(_name)
-            calls.append(_name)
-            try:
-                return _fn(*args, **kwargs)
-            finally:
-                stack.pop()
-                calls.append(f"/{_name}")
-
-        for mod in modules:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    setattr(mod, attr, traced)
-                    patched.append((mod, attr, original))
-    return patched
-
-
 def test_traced_train_on_two_workers(monkeypatch, flows, tmp_path, capfd):
     use_workers(monkeypatch, 2)
     plain = tmp_path / "plain"
@@ -373,7 +326,7 @@ def test_traced_train_on_two_workers(monkeypatch, flows, tmp_path, capfd):
     stack, calls = [], []
     before = threading.active_count()
     capfd.readouterr()
-    patched = install(stack, calls)
+    patched = install(TRACED, stack, calls)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert run(*train_command(flows, traced_out)) == 0
