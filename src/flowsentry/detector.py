@@ -6,21 +6,16 @@ closest ranks) of the unweighted reconstruction errors of the benign
 training windows. A window is flagged attack iff its score exceeds the
 threshold strictly; a score exactly at the threshold stays benign.
 
-Scoring cuts the windows into fixed chunks of :data:`CHUNK` windows and
-scores them on worker threads, as many as the CPUs this process may use
-divided by the threads BLAS was told to use (``OPENBLAS_NUM_THREADS``, else
-``OMP_NUM_THREADS``). With neither set, BLAS already uses every CPU, so one
-worker scores in the caller; ``OPENBLAS_NUM_THREADS=1`` lets scoring use
-every core. Each chunk in flight holds about 17.5 MiB at L 25 / H 64. A
-window's score depends only on the chunk it falls in, never on the number
-of workers or on thread timing.
+Scoring cuts the windows into fixed chunks of :data:`CHUNK` windows, and
+the caller and worker threads score them by the rule of
+:mod:`flowsentry.workers`. Each chunk in flight holds about 17.5 MiB at
+L 25 / H 64. A window's score depends only on the chunk it falls in, never
+on the number of workers or on thread timing.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +23,7 @@ import numpy as np
 from .errors import EmptyCalibrationSet
 from .model import AutoencoderModel, decode_batch, encode_batch
 from .sequencing import Sequence
+from .workers import run_chunks
 
 
 @dataclass(frozen=True)
@@ -47,24 +43,6 @@ class ThresholdModel:
 # Windows a scoring chunk: the slices are fixed, so the GEMM batch a window
 # sits in (and so its last bits) never depends on the worker count.
 CHUNK = 256
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _scoring_workers(n_chunks: int) -> int:
-    """Worker threads for ``n_chunks`` chunks, by the rule in the module
-    docstring, read at each call; at most one per chunk. As OpenBLAS does,
-    a variable that holds no positive integer is skipped. ``trainer.train``
-    reads the same rule for its two row halves, and SMOTE's neighbour
-    search (``smote._nearest_neighbors``) for its chunks."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    for var in _BLAS_THREAD_VARIABLES:
-        value = os.environ.get(var, "").strip()
-        if value.isdecimal() and int(value) > 0:
-            return max(1, min(cpus // int(value), n_chunks))
-    return 1
 
 
 def score_windows(
@@ -72,13 +50,13 @@ def score_windows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-window anomaly scores (MSE between each window and its
     reconstruction) and latent codes of a (W, L, n) tensor, from one encode
-    and one decode of each chunk. Chunks run on :func:`_scoring_workers`
-    threads, each writing its own slice of the results; every thread has
-    ended when this returns, and an error in any chunk is raised here."""
+    and one decode of each chunk. :func:`flowsentry.workers.run_chunks` runs
+    the chunks, each writing its own slice of the results."""
     scores = np.empty(len(windows))
     codes = np.empty((len(windows), model.config.latent_dim))
 
-    def score_chunk(lo: int) -> None:
+    def score_chunk(i: int) -> None:
+        lo = i * chunk
         X = np.ascontiguousarray(windows[lo : lo + chunk])
         # keep_cache=False (positional): scoring never backpropagates
         z = encode_batch(model, X, None, False).z
@@ -86,17 +64,7 @@ def score_windows(
         scores[lo : lo + chunk] = np.mean(diff * diff, axis=(1, 2))
         codes[lo : lo + chunk] = z
 
-    starts = range(0, len(windows), chunk)
-    workers = _scoring_workers(len(starts))
-    if workers == 1:
-        for lo in starts:
-            score_chunk(lo)
-    else:
-        # leaving the block joins every thread; a chunk's error cancels the
-        # chunks not yet started and is raised once the running ones end
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(score_chunk, starts):
-                pass
+    run_chunks(lambda: score_chunk, -(-len(windows) // chunk))
     return scores, codes
 
 

@@ -20,11 +20,10 @@ loop as two row halves, each taking all L steps for its own rows: a row's
 recurrence never reads another row, and each half writes only its own row
 slices. The input projection and the products after the loop (dU, dW, db,
 d_inputs) stay whole-array calls, so the order of their sums is unchanged.
-Given an executor ``pool``, a pool thread runs the second half while the
-caller runs the first, and after the backward loop it computes dU while the
-caller computes the other products; it runs nothing else, and what it has
-not taken up by the time the caller is done, the caller runs. Only
-``trainer.train`` passes a pool, and it joins the thread before it returns.
+Given an executor ``pool``, :func:`flowsentry.workers.beside` runs the
+second half on a pool thread while the caller runs the first, and after the
+backward loop dU while the caller computes the other products. Only
+``trainer.train`` passes a pool (:func:`flowsentry.workers.side_pool`).
 Calls without a workspace (scoring, library calls) never split.
 
 The cut depends on B alone, never on whether a pool runs the halves, so a
@@ -41,11 +40,13 @@ differs from one block in the last bits.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
+
+from .workers import beside
 
 # Fewest rows of a half (see the module docstring).
 MIN_HALF = 64
@@ -84,24 +85,6 @@ def _splits(B: int, workspace: dict | None) -> bool:
     return workspace is not None and B >= 2 * MIN_HALF
 
 
-def _beside(pool: Executor | None, side: Callable[[], Any], main: Callable[[], Any]) -> tuple:
-    """``(side(), main())``. Given a pool, ``side`` runs on a pool thread
-    while the caller runs ``main``, or in the caller after ``main`` if no
-    pool thread has taken it up by then; both have ended when this
-    returns, and an error in either is raised here."""
-    if pool is None:
-        return side(), main()
-    future = pool.submit(side)
-    try:
-        result = main()
-    finally:
-        # side writes into the caller's arrays: it must not start after
-        # this returns, and must have ended if it started
-        if not future.cancel():
-            wait((future,))
-    return side() if future.cancelled() else future.result(), result
-
-
 def _in_halves(
     run: Callable[[int, int], None], B: int, workspace: dict | None, pool: Executor | None
 ) -> None:
@@ -111,7 +94,7 @@ def _in_halves(
         run(0, B)
         return
     mid = B // 2
-    _beside(pool, lambda: run(mid, B), lambda: run(0, mid))
+    beside(pool, lambda: run(mid, B), lambda: run(0, mid))
 
 
 @dataclass
@@ -293,7 +276,7 @@ def lstm_backward(
 
     # a pass run in halves also computes dU, the longest product, beside
     # the others
-    dU, (dW, db, d_inputs) = _beside(
+    dU, (dW, db, d_inputs) = beside(
         pool if _splits(B, workspace) else None, recurrent_grad, other_grads
     )
     return dW, dU, db, d_inputs, dh, dc

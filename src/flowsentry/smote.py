@@ -8,9 +8,8 @@ evenly over the benign set.
 The exact neighbour search runs only for the base records that are drawn,
 the first min(synthetic, records) of them, each against every record. It
 works through the queries in row chunks whose size depends on the record
-count alone, and runs at most two chunks at once on scoring's worker
-threads (see :mod:`flowsentry.detector`): with one BLAS thread on two
-cores, both cores search. Each worker owns its buffers and writes only the
+count alone, and runs at most two chunks at once, by the worker rule of
+:mod:`flowsentry.workers`. Each worker owns its buffers and writes only the
 rows of the chunks it takes, so the neighbour lists never depend on the
 number of workers. A chunk in flight holds three (chunk, n) buffers of
 half the byte budget (products, distances and argpartition's indices), so
@@ -21,16 +20,14 @@ benign set.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _scoring_workers
 from .errors import TargetBelowInput, TooFewRecords
 from .ingest import FlowTable
 from .rng import rng_from
+from .workers import run_chunks
 
 
 @dataclass(frozen=True)
@@ -48,8 +45,8 @@ class SmoteConfig:
 
 # Bytes of the (chunk, n) float64 buffers of the neighbour search: each
 # chunk in flight holds its products, its distances and argpartition's
-# indices. At most _IN_FLIGHT chunks run at once (the caller's and one pool
-# thread's), so a chunk's rows are cut from that share of the budget.
+# indices. At most _IN_FLIGHT chunks run at once, so a chunk's rows are cut
+# from that share of the budget.
 _BLOCK_BYTES = 8 << 20
 _IN_FLIGHT = 2
 
@@ -79,43 +76,22 @@ def _nearest_neighbors(points: np.ndarray, k: int, n_queries: int) -> np.ndarray
     points among all points, by brute-force distance.
 
     Returns an (n_queries, k) index array, neighbors sorted by distance.
-    Where scoring's worker rule (:func:`flowsentry.detector._scoring_workers`)
-    gives two or more workers for the chunks, the caller and one pool thread
-    each take the next chunk as they finish one; else the caller takes them
-    all. The thread has ended when this returns, and an error in any chunk
-    is raised here.
+    :func:`flowsentry.workers.run_chunks` runs the chunks, at most
+    ``_IN_FLIGHT`` at once.
     """
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
     chunk = min(max(_BLOCK_BYTES // _IN_FLIGHT // (8 * n), 1), n_queries)
     out = np.empty((n_queries, k), dtype=np.int64)
-    starts = iter(range(0, n_queries, chunk))
-    lock = threading.Lock()
 
-    def search() -> None:
-        nonlocal starts
+    def searcher():
         # a worker's own buffers, reused by every chunk it takes
         gram, d2 = np.empty((chunk, n)), np.empty((chunk, n))
-        while True:
-            with lock:
-                lo = next(starts, None)
-            if lo is None:
-                return
-            try:
-                _search_chunk(points, sq, lo, min(lo + chunk, n_queries), gram, d2, out)
-            except BaseException:
-                with lock:  # no worker takes another chunk
-                    starts = iter(())
-                raise
+        return lambda i: _search_chunk(
+            points, sq, i * chunk, min((i + 1) * chunk, n_queries), gram, d2, out
+        )
 
-    if _scoring_workers(-(-n_queries // chunk)) == 1:
-        search()
-        return out
-    # the caller searches beside one pool thread; leaving the block joins it
-    with ThreadPoolExecutor(1) as pool:
-        beside = pool.submit(search)
-        search()
-    beside.result()
+    run_chunks(searcher, -(-n_queries // chunk), most=_IN_FLIGHT)
     return out
 
 

@@ -9,9 +9,8 @@ recurrent stack; the optimizer is Adam with global-norm gradient clipping.
 
 from __future__ import annotations
 
-import contextlib
 import math
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -20,7 +19,6 @@ import numpy as np
 if TYPE_CHECKING:
     from .evaluator import EvalReport
 
-from .detector import _scoring_workers
 from .errors import (
     DimensionMismatch,
     DivergedLoss,
@@ -42,6 +40,7 @@ from .model import (
 )
 from .rng import derive_seed, rng_from
 from .sequencing import Triplets, Windows
+from .workers import side_pool
 
 
 @dataclass(frozen=True)
@@ -304,10 +303,9 @@ def train(
 
     Frozen parameter groups are never touched by the optimizer, so they
     stay bit-identical. Deterministic per cfg.seed, whatever the number of
-    threads: where scoring's worker rule gives two or more workers (see
-    :mod:`flowsentry.detector`), one pool thread runs a row half of every
-    recurrent pass that is cut in two (see :mod:`flowsentry.lstm`), and it
-    has ended when this returns.
+    threads: one pool thread (:func:`flowsentry.workers.side_pool`) runs a
+    row half of every recurrent pass cut in two (see :mod:`flowsentry.lstm`),
+    and it has ended when this returns.
     """
     if not len(triplets):
         raise EmptyTrainingSet("no triplets to train on")
@@ -327,8 +325,7 @@ def train(
         "tml": np.zeros(cfg.epochs),
         "kl": np.zeros(cfg.epochs),
     }
-    idle_core = _scoring_workers(2) > 1
-    with ThreadPoolExecutor(1) if idle_core else contextlib.nullcontext() as pool:
+    with side_pool() as pool:
         for epoch in range(cfg.epochs):
             order = rng.permutation(total)
             sums = {"joint": 0.0, "rec": 0.0, "tml": 0.0, "kl": 0.0}

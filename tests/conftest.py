@@ -49,6 +49,14 @@ def use_workers(monkeypatch, workers):
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
 
 
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that ends with more live threads than it started with."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, [t.name for t in threading.enumerate()]
+
+
 @pytest.fixture
 def threads_started(monkeypatch):
     started = []

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from flowsentry import cli, detector
-from flowsentry.detector import CHUNK, _scoring_workers, score_windows
+from flowsentry.detector import CHUNK, score_windows
 from flowsentry.ingest import ATTACK, BENIGN
 from flowsentry.model import ModelConfig, decode_batch, encode_batch, init_model
+from flowsentry.workers import count
 
 from conftest import install, use_workers
 
@@ -65,15 +66,15 @@ class TestWorkerRule:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert _scoring_workers(chunks) == want
+        assert count(chunks) == want
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert _scoring_workers(100) == 3
+        assert count(100) == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _scoring_workers(100) == 1
+        assert count(100) == 1
 
 
 class TestBitEquality:
@@ -100,15 +101,40 @@ class TestBitEquality:
 
     def test_chunks_run_off_the_calling_thread(self, monkeypatch, model, windows):
         use_workers(monkeypatch, 2)
-        callers = set()
+        caller, helper_took_one, threads = threading.get_ident(), threading.Event(), set()
 
         def encode(model, X, *args):
-            callers.add(threading.get_ident())
+            threads.add(threading.get_ident())
+            if threading.get_ident() == caller:  # hold each chunk until a helper has one
+                assert helper_took_one.wait(timeout=30)
+            else:
+                helper_took_one.set()
             return encode_batch(model, X, *args)
 
         monkeypatch.setattr(detector, "encode_batch", encode)
         score_windows(model, windows)
-        assert callers and threading.get_ident() not in callers
+        assert threads - {caller}
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_caller_and_helpers_score_each_chunk_once(self, monkeypatch, model, windows,
+                                                      workers):
+        use_workers(monkeypatch, workers)
+        caller, caller_took_one, scored = threading.get_ident(), threading.Event(), []
+
+        def encode(model, X, *args):
+            scored.append((threading.get_ident(), X[0, 0, 0]))
+            if threading.get_ident() == caller:
+                caller_took_one.set()
+            else:  # a helper holds its first chunk until the caller has one
+                assert caller_took_one.wait(timeout=30)
+            return encode_batch(model, X, *args)
+
+        monkeypatch.setattr(detector, "encode_batch", encode)
+        score_windows(model, windows)
+        firsts = sorted(first for _, first in scored)
+        assert firsts == sorted(windows[::CHUNK, 0, 0])
+        threads = {ident for ident, _ in scored}
+        assert caller in threads and len(threads) <= workers
 
 
 class TestThreads:

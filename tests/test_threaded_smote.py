@@ -135,6 +135,13 @@ def test_neighbor_search_memory_within_budget_on_two_workers(monkeypatch, thread
     assert len(threads_started) == 1
 
 
+def test_neighbor_search_memory_within_budget_on_three_workers(monkeypatch, threads_started):
+    # the rule gives three workers, but no more than _IN_FLIGHT chunks run
+    use_workers(monkeypatch, 3)
+    test_smote.test_neighbor_search_memory_within_budget()
+    assert len(threads_started) == 1
+
+
 # --- commands: train --smote over 3,000 flows ---------------------------------
 
 def run(*argv):

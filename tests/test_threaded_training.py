@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from flowsentry import cli, detector, lstm, trainer
+from flowsentry import cli, detector, lstm, smote, trainer, workers
 from flowsentry.lstm import lstm_backward, lstm_forward
 from flowsentry.model import ModelConfig, init_model, parameter_group
 from flowsentry.sequencing import Triplets
@@ -38,8 +38,17 @@ def pool():
         yield recording
 
 
-def test_training_reads_the_scoring_worker_rule():
-    assert trainer._scoring_workers is detector._scoring_workers
+def test_training_reads_the_scoring_worker_rule(monkeypatch):
+    for module in (detector, smote, trainer):
+        assert not {"_scoring_workers", "_BLAS_THREAD_VARIABLES", "os"} & vars(module).keys()
+    asked = []
+    monkeypatch.setattr(workers, "count", lambda n: asked.append(n) or 1)
+    detector.score_windows(init_model(ModelConfig(input_dim=2, hidden_dim=4, latent_dim=2)),
+                           np.zeros((3, 4, 2)))
+    smote._nearest_neighbors(np.eye(4), 1, 4)
+    train(Triplets(np.zeros((2, 4, 2)), np.zeros((2, 4, 2)), np.array([1, 0])),
+          init_model(ModelConfig(input_dim=2, hidden_dim=4, latent_dim=2)), TrainConfig(epochs=1))
+    assert asked == [1, 1, 2]  # a chunk each to score and to search; train's two halves
 
 
 # --- one layer: halves against the unsplit loop ------------------------------
