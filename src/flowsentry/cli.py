@@ -190,9 +190,9 @@ def cmd_detect(args) -> int:
     with out.open("w", newline="") as fh:
         fh.write("start_index,score,verdict\n")
         if len(table) > 0:
-            windows = build_sequences(
-                normalize(table, model.norm_stats), cfg.sequence_length, cfg.stride
-            )
+            # rebinding frees the raw features before scoring
+            table = normalize(table, model.norm_stats)
+            windows = build_sequences(table, cfg.sequence_length, cfg.stride)
             scores, flagged = classify_many(model, threshold, windows.values)
             _write_verdict_rows(fh, windows.starts, scores, flagged)
     print(out)
@@ -203,9 +203,9 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     art, table = _load_scoring(args, cfg)
     model, threshold = art.model, art.threshold
-    windows = build_sequences(
-        normalize(table, model.norm_stats), cfg.sequence_length, cfg.stride
-    )
+    # rebinding frees the raw features before scoring
+    table = normalize(table, model.norm_stats)
+    windows = build_sequences(table, cfg.sequence_length, cfg.stride)
     report, codes = evaluate_detector(
         model,
         threshold,

@@ -8,9 +8,11 @@ threshold strictly; a score exactly at the threshold stays benign.
 
 Scoring cuts the windows into fixed chunks of :data:`CHUNK` windows, and
 the caller and worker threads score them by the rule of
-:mod:`flowsentry.workers`. Each chunk in flight holds about 17.5 MiB at
-L 25 / H 64. A window's score depends only on the chunk it falls in, never
-on the number of workers or on thread timing.
+:mod:`flowsentry.workers`. Each chunk in flight holds about 6 MiB at
+L 25 / H 64, since its passes keep no cache and project each step's inputs
+only as the recurrence reaches it (see :mod:`flowsentry.lstm`). A window's
+score depends only on the chunk it falls in, never on the number of workers
+or on thread timing.
 """
 
 from __future__ import annotations

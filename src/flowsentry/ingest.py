@@ -381,9 +381,11 @@ def normalize(flows: FlowTable, stats: NormalizationStats) -> FlowTable:
             f"table has {flows.n_features} features, stats have {stats.n_features}"
         )
     span = stats.maximum - stats.minimum
-    safe_span = np.where(span > 0, span, 1.0)
-    scaled = (flows.features - stats.minimum) / safe_span
-    scaled = np.where(span > 0, scaled, 0.0)
+    # one (records, n_features) array, the output, worked on in place; a NaN
+    # span counts as zero
+    scaled = np.subtract(flows.features, stats.minimum)
+    scaled /= np.where(span > 0, span, 1.0)
+    scaled[:, ~(span > 0)] = 0.0
     np.clip(scaled, 0.0, 1.0, out=scaled)
     return FlowTable(scaled, flows.is_attack, flows.categories, flows.original_indices)
 

@@ -11,15 +11,29 @@ The functions are pure unless handed a ``workspace`` dict. A caller that runs
 one layer again and again (``trainer.train``, batch after batch) passes each
 layer its own dict: the pass then takes its big arrays from it and overwrites
 them instead of allocating new ones, so the previous pass's cache is no
-longer valid. One (B, L, 4H) buffer holds the input projection in the
-forward and dL/d(pre) in the backward, since the projection is dead once the
-forward ends.
+longer valid. A pass that keeps its cache projects all L steps' inputs at
+once into one (B, L, 4H) buffer, which then holds dL/d(pre) in the backward,
+since the projection is dead once the forward ends.
+
+A pass without a cache (all scoring) holds no such buffer: each step
+projects its own (rows, D) inputs into one (rows, 4H) buffer as the
+recurrence reaches it, so a 256-window scoring chunk at L 25 / H 64 holds
+about 6 MiB instead of 18. Its hidden states equal the cached pass's
+wherever the per-step and the whole-sequence products round alike. With
+numpy's OpenBLAS, among random shapes of at least 2 rows and 2 steps, none
+differed at D <= 19 with H even or below 49 (the default shapes among
+them); some did at D >= 20 or at odd H >= 49, and nearly all one-row
+batches and one-step windows did, where the step's GEMM takes another
+kernel. They differ in the last bits. Scoring and calibration share this
+pass, so a threshold and the scores compared with it come from the same
+arithmetic.
 
 With a workspace, a pass of at least 2 * MIN_HALF = 128 rows runs its time
 loop as two row halves, each taking all L steps for its own rows: a row's
 recurrence never reads another row, and each half writes only its own row
-slices. The input projection and the products after the loop (dU, dW, db,
-d_inputs) stay whole-array calls, so the order of their sums is unchanged.
+slices. The cached pass's input projection and the products after the loop
+(dU, dW, db, d_inputs) stay whole-array calls, so the order of their sums is
+unchanged.
 Given an executor ``pool``, :func:`flowsentry.workers.beside` runs the
 second half on a pool thread while the caller runs the first, and after the
 backward loop dU while the caller computes the other products. Only
@@ -146,9 +160,11 @@ def lstm_forward(
     """
     H = U.shape[1]
     if isinstance(inputs, tuple):
-        (B, L), inputs, x_pre = inputs, None, None
+        (B, L), inputs = inputs, None
     else:
         B, L, _ = inputs.shape
+    x_pre = None
+    if inputs is not None and keep_cache:
         # the input contribution for all steps; its buffer holds dL/d(pre)
         # in the backward pass
         x_pre = np.matmul(inputs, W.T, out=_array(workspace, "pre", (B, L, 4 * H)))
@@ -161,11 +177,13 @@ def lstm_forward(
     cs[0] = 0.0 if c0 is None else c0
     gate_blocks = _array(workspace, "gate_blocks", (slots, 4, B, H))
     tanh_c = _array(workspace, "tanh_c", (slots, B, H))
-    UT = U.T
+    WT, UT = W.T, U.T
 
     def run(lo: int, hi: int) -> None:
         pre = np.empty((hi - lo, 4 * H))
         pre_blocks = _blocks(pre)
+        # without a cache, each step projects its own inputs into x_t
+        x_t = np.empty((hi - lo, 4 * H)) if inputs is not None and x_pre is None else None
         ig = np.empty((hi - lo, H))
         # the bias as a contiguous (4, rows, H) block: numpy adds a broadcast
         # (4, 1, H) operand in H-element inner loops
@@ -174,15 +192,16 @@ def lstm_forward(
             s = t if keep_cache else 0
             g, tc = gate_blocks[s, :, lo:hi], tanh_c[s, lo:hi]
             c_prev, c = (cs[t, lo:hi], cs[t + 1, lo:hi]) if keep_cache else (cs[0, lo:hi],) * 2
-            # g = (x_pre + h U^T) + b, in this order: the finite-difference
+            # g = (x + h U^T) + b, in this order: the finite-difference
             # gradient tests sit at their roundoff floor, where reordering
             # these float operations moves the result past their bound
             np.matmul(hs[t, lo:hi], UT, out=pre)
-            if x_pre is not None:
-                np.add(_blocks(x_pre[lo:hi, t]), pre_blocks, out=g)
-                np.add(g, b_blocks, out=g)
-            else:
+            if inputs is None:
                 np.add(pre_blocks, b_blocks, out=g)
+            else:
+                x = x_pre[lo:hi, t] if x_t is None else np.matmul(inputs[lo:hi, t], WT, out=x_t)
+                np.add(_blocks(x), pre_blocks, out=g)
+                np.add(g, b_blocks, out=g)
             sigmoid(g[:2], out=g[:2])
             sigmoid(g[3], out=g[3])
             np.tanh(g[2], out=g[2])

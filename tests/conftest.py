@@ -2,6 +2,7 @@ import importlib
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def use_workers(monkeypatch, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+
+
+def peak_bytes(fn):
+    """The peak of the memory Python allocators hold while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(autouse=True)

@@ -11,9 +11,12 @@ from flowsentry.detector import (
     classify_many,
     percentile_threshold,
     reconstruction_errors,
+    score_windows,
 )
 from flowsentry.errors import EmptyCalibrationSet
 from flowsentry.model import ModelConfig, init_model
+
+from conftest import peak_bytes, use_workers
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +145,12 @@ class TestClassify:
         full = reconstruction_errors(model, seqs, chunk=512)
         tiny = reconstruction_errors(model, seqs, chunk=3)
         np.testing.assert_array_equal(full, tiny)
+
+
+def test_scoring_working_set_is_bounded(monkeypatch):
+    # one worker scores two 256-window chunks in turn; a chunk that projects
+    # all its steps' inputs at once holds that (256, 25, 256) array, 12.5 MiB
+    use_workers(monkeypatch, 1)
+    model = init_model(ModelConfig(input_dim=8, hidden_dim=64, seed=3))
+    windows = np.random.default_rng(4).uniform(0, 1, (512, 25, 8))
+    assert peak_bytes(lambda: score_windows(model, windows)) < 9 * 2**20

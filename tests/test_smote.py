@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from flowsentry.errors import TargetBelowInput, TooFewRecords
 from flowsentry.rng import rng_from
 from flowsentry.smote import SmoteConfig, smote_oversample
 
-from conftest import make_table
+from conftest import make_table, peak_bytes
 
 
 def segment_residual(sample, base, neighbors):
@@ -150,12 +148,8 @@ def test_exact_duplicate_is_first_neighbor_never_self(monkeypatch, rows):
 
 def test_neighbor_search_memory_within_budget():
     points = np.random.default_rng(0).uniform(0, 1, (20_000, 8))
-    tracemalloc.start()
-    try:
-        neighbors = smote._nearest_neighbors(points, 5, 2_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # products, distances and argpartition's indices, the result, and 1 MiB
-    # for the (n,) squared norms and each chunk's (rows, k) scraps
-    assert peak <= 3 * smote._BLOCK_BYTES + neighbors.nbytes + (1 << 20)
+    peak = peak_bytes(lambda: smote._nearest_neighbors(points, 5, 2_000))
+    # products, distances and argpartition's indices, the (2,000, 5) int64
+    # result, and 1 MiB for the (n,) squared norms and each chunk's (rows, k)
+    # scraps
+    assert peak <= 3 * smote._BLOCK_BYTES + 2_000 * 5 * 8 + (1 << 20)

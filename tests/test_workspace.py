@@ -10,8 +10,6 @@ of ``test_lstm`` at the shapes training and scoring use (GEMM kernels change
 with shape).
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -21,6 +19,7 @@ from flowsentry.model import ModelConfig, init_model
 from flowsentry.sequencing import Triplets
 from flowsentry.trainer import TrainConfig, loss_and_grads, train
 
+from conftest import peak_bytes
 from test_lstm import assert_cache_matches, ref_backward, ref_forward, weights
 
 
@@ -97,15 +96,6 @@ def test_gate_blocks_are_contiguous():
             for k in range(4):
                 assert cache.gate_blocks[t, k].flags.c_contiguous
         assert not cache.gates.flags.writeable
-
-
-def peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_training_memory_does_not_grow_with_batches():
