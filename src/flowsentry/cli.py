@@ -15,9 +15,10 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .artifact import load_artifact, save_artifact
-from .config import OPTIONS, PipelineConfig, load_config_values, pipeline_config, split_names
-from .detector import calibrate, classify_many
-from .errors import DimensionMismatch, FlowSentryError
+from .config import (OPTIONS, PipelineConfig, finite, load_config_values, pipeline_config,
+                     split_names)
+from .detector import calibrate, classify_many, score_windows
+from .errors import DimensionMismatch, FlowSentryError, InvalidConfig
 from .evaluator import evaluate_detector
 from .ingest import ATTACK, BENIGN, fit_normalizer, load_flows, normalize, split_benign
 from .model import AutoencoderModel, init_model
@@ -51,8 +52,18 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+def _comma_floats(text: str, flag: str, within: str, ok) -> tuple[float, ...]:
+    """The numbers of a comma-list flag, blanks dropped. An item that is not
+    a finite number that ``ok`` accepts (one ``within``) raises InvalidConfig."""
+    values = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            values.append(finite(item))
+        except ValueError as exc:
+            raise InvalidConfig(f"{flag}: {exc}") from None
+        if not ok(values[-1]):
+            raise InvalidConfig(f"{flag}: {item.strip()} is outside {within}")
+    return tuple(values)
 
 
 def _resolve(args: argparse.Namespace, **overrides) -> PipelineConfig:
@@ -142,10 +153,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_scoring(args, cfg: PipelineConfig, need_threshold: bool = True):
-    """The artifact and the flow table that calibrate, detect and eval score."""
+def _scoring_windows(args, cfg: PipelineConfig):
+    """The artifact and the time-ordered windows of the normalized flows that
+    calibrate (benign flows only), detect and eval score; for detect, a file
+    with no flows has no windows (None)."""
     art = load_artifact(args.model)
-    if need_threshold and art.threshold is None:
+    if args.command != "calibrate" and art.threshold is None:
         raise FlowSentryError("artifact has no calibrated threshold; run calibrate")
     if art.model.norm_stats is None:
         raise FlowSentryError("artifact carries no normalization stats")
@@ -155,18 +168,21 @@ def _load_scoring(args, cfg: PipelineConfig, need_threshold: bool = True):
         raise DimensionMismatch(
             f"flows have {table.n_features} features, model expects {expected}"
         )
-    return art, table
+    if args.command == "calibrate":
+        table = table.benign_only()
+    elif args.command == "detect" and not len(table):
+        return art, None
+    # rebinding frees the raw features before scoring
+    table = normalize(table, art.model.norm_stats)
+    return art, build_sequences(table, cfg.sequence_length, cfg.stride)
 
 
 def cmd_calibrate(args) -> int:
     cfg = _resolve(args)
-    art, table = _load_scoring(args, cfg, need_threshold=False)
-    model = art.model
-    benign = normalize(table.benign_only(), model.norm_stats)
-    windows = build_sequences(benign, cfg.sequence_length, cfg.stride)
-    threshold = calibrate(model, windows.values, cfg.percentile)
+    art, windows = _scoring_windows(args, cfg)
+    threshold = calibrate(art.model, windows.values, cfg.percentile)
     out = args.model_out or args.model
-    save_artifact(out, model, threshold, metadata=art.metadata)
+    save_artifact(out, art.model, threshold, metadata=art.metadata)
     print(out)
     return 0
 
@@ -184,34 +200,31 @@ def _write_verdict_rows(fh, starts, scores, flagged) -> None:
 
 def cmd_detect(args) -> int:
     cfg = _resolve(args)
-    art, table = _load_scoring(args, cfg)
-    model, threshold = art.model, art.threshold
+    art, windows = _scoring_windows(args, cfg)
     out = Path(args.out)
     with out.open("w", newline="") as fh:
         fh.write("start_index,score,verdict\n")
-        if len(table) > 0:
-            # rebinding frees the raw features before scoring
-            table = normalize(table, model.norm_stats)
-            windows = build_sequences(table, cfg.sequence_length, cfg.stride)
-            scores, flagged = classify_many(model, threshold, windows.values)
+        if windows is not None:
+            scores, flagged = classify_many(art.model, art.threshold, windows.values)
             _write_verdict_rows(fh, windows.starts, scores, flagged)
     print(out)
     return 0
 
 
 def cmd_eval(args) -> int:
+    percentiles = _comma_floats(args.pr_percentiles, "--pr-percentiles", "(0, 100]",
+                                lambda q: 0.0 < q <= 100.0)
     cfg = _resolve(args)
-    art, table = _load_scoring(args, cfg)
-    model, threshold = art.model, art.threshold
-    # rebinding frees the raw features before scoring
-    table = normalize(table, model.norm_stats)
-    windows = build_sequences(table, cfg.sequence_length, cfg.stride)
-    report, codes = evaluate_detector(
-        model,
-        threshold,
-        windows[~windows.is_attack],
-        windows[windows.is_attack],
-        pr_percentiles=_comma_floats(args.pr_percentiles),
+    art, windows = _scoring_windows(args, cfg)
+    threshold = art.threshold
+    # detect's pass: all windows in time order, split by label afterwards
+    scores, codes = score_windows(art.model, windows.values)
+    attack = windows.is_attack
+    codes = codes[~attack]
+    # positional: perfbench's tracer counts the windows from arguments 2 and 3
+    report = evaluate_detector(
+        threshold, scores[~attack], scores[attack], codes, windows.categories[attack],
+        percentiles,
     )
 
     out_dir = Path(args.out_dir)
@@ -257,6 +270,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    rec_values, tml_values = (
+        _comma_floats(text, flag, "[0, 1]", lambda v: 0.0 <= v <= 1.0) if text else DEFAULT_GRID
+        for text, flag in ((args.grid_rec, "--grid-rec"), (args.grid_tml, "--grid-tml"))
+    )
     cfg = _resolve(args)
     table, benign_test, stats, train_windows, triplets = _prepare_training_data(args, cfg)
     windows = build_sequences(normalize(table, stats), cfg.sequence_length, cfg.stride)
@@ -268,8 +285,6 @@ def cmd_sweep(args) -> int:
         attack_sequences=windows[windows.is_attack],
         percentile=cfg.percentile,
     )
-    rec_values = _comma_floats(args.grid_rec) if args.grid_rec else DEFAULT_GRID
-    tml_values = _comma_floats(args.grid_tml) if args.grid_tml else DEFAULT_GRID
     results, best = sweep(
         triplets, cfg.model_config(), cfg.train, eval_data, rec_values, tml_values
     )

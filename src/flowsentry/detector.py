@@ -6,6 +6,9 @@ closest ranks) of the unweighted reconstruction errors of the benign
 training windows. A window is flagged attack iff its score exceeds the
 threshold strictly; a score exactly at the threshold stays benign.
 
+:func:`score_windows` is the one scoring pass, and ``detect`` and ``eval``
+run it over the same time-ordered windows, so they score each window alike.
+
 Scoring cuts the windows into fixed chunks of :data:`CHUNK` windows, and
 the caller and worker threads score them by the rule of
 :mod:`flowsentry.workers`. Each chunk in flight holds about 6 MiB at

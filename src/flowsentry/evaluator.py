@@ -2,6 +2,10 @@
 per-attack-category breakdowns, precision-recall curves across percentile
 thresholds, and the latent-cohesion score.
 
+Every report is a pure function of per-window score and code arrays; ``eval``
+takes them from ``detect``'s pass (:func:`flowsentry.detector.score_windows`)
+and splits them by label afterwards.
+
 Attack is the positive class throughout. Ratios with a zero denominator are
 reported as None rather than zero.
 """
@@ -9,14 +13,13 @@ reported as None rather than zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyCalibrationSet, InsufficientCodes, UnknownCategory
 from .detector import CHUNK, ThresholdModel, percentile_threshold, score_windows
-from .model import AutoencoderModel, LatentCode
-from .sequencing import Windows
+from .model import AutoencoderModel
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,10 @@ def pr_across_percentiles(
     return tuple(points)
 
 
-def latent_cohesion(codes: Iterable[LatentCode] | np.ndarray) -> float:
-    """Mean over latent dimensions of (max - min) along that dimension."""
-    if isinstance(codes, np.ndarray):
-        matrix = np.asarray(codes, dtype=np.float64)
-    else:
-        matrix = np.stack([c.z if isinstance(c, LatentCode) else np.asarray(c) for c in codes])
+def latent_cohesion(codes: np.ndarray) -> float:
+    """Mean over latent dimensions of (max - min) along that dimension, for a
+    (W, latent_dim) matrix of codes."""
+    matrix = np.asarray(codes, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise InsufficientCodes("latent cohesion needs at least two codes")
     return float(np.mean(matrix.max(axis=0) - matrix.min(axis=0)))
@@ -183,40 +184,33 @@ def benign_latent_codes(
 
 
 def evaluate_detector(
-    model: AutoencoderModel,
     threshold: ThresholdModel,
-    benign: Windows,
-    attacks: Windows,
-    pr_percentiles: Iterable[float] = (),
-) -> tuple[EvalReport, np.ndarray]:
-    """Score every window once and assemble the full evaluation report at a
-    calibrated threshold from those scores.
+    benign_scores: np.ndarray,
+    attack_scores: np.ndarray,
+    benign_codes: np.ndarray,
+    attack_categories: np.ndarray | None = None,
+    pr_percentiles: Sequence[float] = (),
+) -> EvalReport:
+    """The full evaluation report at a calibrated threshold, from per-window
+    scores and the benign windows' latent codes.
 
-    The per-category report is made when any attack window carries a
-    category. Returns the report and the benign latent codes, a
-    (len(benign), latent_dim) matrix from the same pass.
+    ``attack_categories[i]`` is the category of the window scored
+    ``attack_scores[i]``. The per-category report is made when any of them
+    names a category; without them there is none.
     """
-    benign_scores, benign_codes = score_windows(model, benign.values)
-    attack_scores, _ = score_windows(model, attacks.values)
     counts = counts_from_scores(benign_scores, attack_scores, threshold.threshold)
     summary = compute_metrics(counts)
 
     per_category: dict[str, CategoryMetrics] = {}
-    if any(c is not None for c in attacks.categories):
+    if attack_categories is not None and any(c is not None for c in attack_categories):
         per_category = per_category_eval(
-            benign_scores, attack_scores, attacks.categories, threshold.threshold
+            benign_scores, attack_scores, attack_categories, threshold.threshold
         )
 
     pr_curve: tuple[PRPoint, ...] = ()
-    percentiles = list(pr_percentiles)
-    if percentiles:
-        pr_curve = pr_across_percentiles(benign_scores, attack_scores, percentiles)
-
-    cohesion = None
-    if len(benign) >= 2:
-        cohesion = latent_cohesion(benign_codes)
-
-    report = EvalReport(
+    if len(pr_percentiles):
+        pr_curve = pr_across_percentiles(benign_scores, attack_scores, pr_percentiles)
+    return EvalReport(
         counts=counts,
         benign_accuracy=summary.benign_accuracy,
         anomaly_accuracy=summary.anomaly_accuracy,
@@ -225,6 +219,5 @@ def evaluate_detector(
         f1=summary.f1,
         per_category=per_category,
         pr_curve=pr_curve,
-        latent_cohesion=cohesion,
+        latent_cohesion=latent_cohesion(benign_codes) if len(benign_codes) >= 2 else None,
     )
-    return report, benign_codes

@@ -27,7 +27,6 @@ from .errors import (
 )
 from .model import (
     AutoencoderModel,
-    LatentCode,
     ModelConfig,
     PARAMETER_GROUPS,
     decode_backward,
@@ -109,18 +108,11 @@ class LossParts:
     kl: float
 
 
-def _as_vector(v: LatentCode | np.ndarray) -> np.ndarray:
-    return v.z if isinstance(v, LatentCode) else np.asarray(v, dtype=np.float64)
-
-
 def triplet_margin_loss(
-    anchor: LatentCode | np.ndarray,
-    positive: LatentCode | np.ndarray,
-    negative: LatentCode | np.ndarray,
-    margin: float,
+    anchor: np.ndarray, positive: np.ndarray, negative: np.ndarray, margin: float
 ) -> float:
     """max(||a - p||_2 - ||a - n||_2 + margin, 0) on latent vectors."""
-    a, p, n = _as_vector(anchor), _as_vector(positive), _as_vector(negative)
+    a, p, n = (np.asarray(v, dtype=np.float64) for v in (anchor, positive, negative))
     if not (a.shape == p.shape == n.shape):
         raise DimensionMismatch("triplet members must share one dimension")
     d_ap = float(np.linalg.norm(a - p))
@@ -390,18 +382,13 @@ def sweep(
     windows are provided, else benign accuracy at the calibrated
     threshold.
     """
-    from .detector import calibrate
+    from .detector import calibrate, score_windows
     from .evaluator import evaluate_detector
 
     if any(not 0.0 <= v <= 1.0 for v in rec_values + tml_values):
         raise ValueError("grid values must lie in [0, 1]")
 
     base = init_model(model_config)
-    # the cells are ranked without a per-category report
-    attacks = replace(
-        eval_data.attack_sequences,
-        categories=np.full(len(eval_data.attack_sequences), None, dtype=object),
-    )
     results = []
     for lam_rec in rec_values:
         for lam_tml in tml_values:
@@ -416,12 +403,12 @@ def sweep(
             threshold = calibrate(
                 cell_model, eval_data.calibration_sequences.values, eval_data.percentile
             )
-            report, _ = evaluate_detector(
-                cell_model,
-                threshold,
-                eval_data.benign_test_sequences,
-                attacks,
+            benign_scores, benign_codes = score_windows(
+                cell_model, eval_data.benign_test_sequences.values
             )
+            attack_scores, _ = score_windows(cell_model, eval_data.attack_sequences.values)
+            # the cells are ranked without a per-category report
+            report = evaluate_detector(threshold, benign_scores, attack_scores, benign_codes)
             results.append(SweepResult(lam_rec, lam_tml, report))
 
     def key(r: SweepResult) -> float:

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from flowsentry import detector as detector_module
 from flowsentry.artifact import load_artifact
 from flowsentry.cli import main
 from flowsentry.model import parameter_group
@@ -226,6 +227,90 @@ class TestEval:
                 line.split("=", 1) for line in (out_dir / "summary.txt").read_text().splitlines()
             )
             assert int(summary["tp"]) + int(summary["fn"]) > 0  # attack windows were scored
+
+
+@pytest.fixture(scope="module")
+def bursty(tmp_path_factory):
+    """Over 256 benign windows with attack bursts between them: scored as a
+    benign list and an attack list, the windows would fall into other
+    256-window chunks than the time-ordered pass of detect."""
+    root = tmp_path_factory.mktemp("bursty")
+    flows, model = root / "flows.csv", root / "model.fsn"
+    assert run("generate", "--out", flows, "--flows", 2000, "--features", 2,
+               "--attack-fraction", 0.2, "--burst-flows", 40, "--burst-alignment", 4,
+               "--seed", 6) == 0
+    assert run("train", "--flows", flows, "--model-out", model, "--category-column", "category",
+               "--sequence-length", 4, "--hidden-dim", 4, "--latent-dim", 2, "--epochs", 1,
+               "--seed", 0) == 0
+    return root, flows, model
+
+
+class TestOnePass:
+    @staticmethod
+    def encoded_rows(monkeypatch, command, bursty, out):
+        """The rows of each encode and decode call while ``command`` runs."""
+        _, flows, model = bursty
+        rows = {"encode_batch": [], "decode_batch": []}
+        for name in rows:
+            original = getattr(detector_module, name)
+
+            def counting(m, X, *args, original=original, calls=rows[name]):
+                calls.append(X.shape[0])
+                return original(m, X, *args)
+
+            monkeypatch.setattr(detector_module, name, counting)
+        where = "--out" if command == "detect" else "--out-dir"
+        assert run(command, "--model", model, "--flows", flows, where, out,
+                   "--category-column", "category", "--sequence-length", 4) == 0
+        monkeypatch.undo()
+        return {name: sorted(calls) for name, calls in rows.items()}
+
+    def test_eval_scores_in_detects_chunks(self, bursty, tmp_path, monkeypatch):
+        detect = self.encoded_rows(monkeypatch, "detect", bursty, tmp_path / "v.csv")
+        evaluate = self.encoded_rows(monkeypatch, "eval", bursty, tmp_path / "report")
+        assert detect["encode_batch"] == [244, 256]
+        assert evaluate == detect
+
+    def test_eval_encodes_and_decodes_each_window_once(self, bursty, tmp_path, monkeypatch):
+        rows = self.encoded_rows(monkeypatch, "eval", bursty, tmp_path / "report")
+        assert sum(rows["encode_batch"]) == sum(rows["decode_batch"]) == 2000 // 4
+
+    def test_eval_counts_equal_detects_verdicts(self, bursty, tmp_path):
+        _, flows, model = bursty
+        for command, where, out in (("detect", "--out", "v.csv"), ("eval", "--out-dir", "r")):
+            assert run(command, "--model", model, "--flows", flows, where, tmp_path / out,
+                       "--category-column", "category", "--sequence-length", 4) == 0
+        labels = [r[2] for r in read_csv(flows)[1:]]
+        counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+        for start, _, verdict in read_csv(tmp_path / "v.csv")[1:]:
+            window = labels[int(start) : int(start) + 4]
+            is_attack = 2 * sum(label != "benign" for label in window) > 4
+            flagged = verdict == "attack"
+            counts[("t" if flagged == is_attack else "f") + ("p" if flagged else "n")] += 1
+        summary = dict(
+            line.split("=", 1) for line in (tmp_path / "r" / "summary.txt").read_text().splitlines()
+        )
+        assert {k: int(summary[k]) for k in counts} == counts
+        assert counts["tp"] + counts["fn"] > 0 and counts["fp"] + counts["tn"] > 256
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--pr-percentiles", "90,abc"],
+     "--pr-percentiles: could not convert string to float: 'abc'"),
+    (["eval", "--pr-percentiles", "90,150"], "--pr-percentiles: 150 is outside (0, 100]"),
+    (["eval", "--pr-percentiles", "0"], "--pr-percentiles: 0 is outside (0, 100]"),
+    (["sweep", "--grid-rec", "nan"], "--grid-rec: must be a finite number, got 'nan'"),
+    (["sweep", "--grid-tml", "0.5,,1.5"], "--grid-tml: 1.5 is outside [0, 1]"),
+    (["sweep", "--grid-rec", "0,inf"], "--grid-rec: must be a finite number, got 'inf'"),
+    (["sweep", "--grid-rec=-0.5"], "--grid-rec: -0.5 is outside [0, 1]"),
+])
+def test_list_flag_rejected_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # no input exists: a flag checked after reading would report the missing file
+    missing = tmp_path / "missing"
+    outputs = {"eval": ["--model", missing, "--out-dir", missing],
+               "sweep": ["--out", missing]}[argv[0]]
+    assert run(*argv, "--flows", missing, *outputs) == 1
+    assert capsys.readouterr().err == f"flowsentry: InvalidConfig: {message}\n"
 
 
 class TestCalibrate:

@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowsentry.detector import ThresholdModel, calibrate, reconstruction_errors
+from flowsentry.detector import calibrate, reconstruction_errors, score_windows
 from flowsentry.errors import EmptyCalibrationSet, InsufficientCodes, UnknownCategory
-from flowsentry import detector as detector_module
-from flowsentry import evaluator as evaluator_module
-from flowsentry import model as model_module
 from flowsentry.evaluator import (
     ConfusionCounts,
     benign_latent_codes,
@@ -18,7 +15,7 @@ from flowsentry.evaluator import (
     per_category_eval,
     pr_across_percentiles,
 )
-from flowsentry.model import LatentCode, ModelConfig, init_model
+from flowsentry.model import ModelConfig, init_model
 from flowsentry.sequencing import Windows
 
 from conftest import benign_windows
@@ -80,7 +77,7 @@ class TestComputeMetrics:
 
 class TestLatentCohesion:
     def test_identical_codes_zero(self):
-        codes = [LatentCode(np.array([1.0, 2.0]))] * 3
+        codes = np.tile([1.0, 2.0], (3, 1))
         assert latent_cohesion(codes) == 0.0
 
     def test_hand_arithmetic(self):
@@ -148,8 +145,10 @@ class TestEvaluateDetector:
         attacks = attack_windows([rng.uniform(4, 5, (4, 2)) for i in range(4)], ["dos"] * 4,
                                  [100 + i for i in range(4)])
         thr = calibrate(model, benign.values, 99.0)
-        report, codes = evaluate_detector(
-            model, thr, benign, attacks,
+        benign_scores, codes = score_windows(model, benign.values)
+        attack_scores, _ = score_windows(model, attacks.values)
+        report = evaluate_detector(
+            thr, benign_scores, attack_scores, codes, attacks.categories,
             pr_percentiles=[90.0, 99.0],
         )
         assert report.counts.total == 12
@@ -158,33 +157,6 @@ class TestEvaluateDetector:
         assert len(report.pr_curve) == 2
         assert report.latent_cohesion == latent_cohesion(codes)
         np.testing.assert_array_equal(codes, benign_latent_codes(model, benign.values))
-
-    def test_each_window_encoded_and_decoded_once(self, model, monkeypatch):
-        rows = {"encode_batch": 0, "decode_batch": 0}
-
-        def counting(name):
-            original = getattr(model_module, name)
-
-            def wrapped(m, X, *args):
-                rows[name] += X.shape[0]
-                return original(m, X, *args)
-
-            return wrapped
-
-        for module in (detector_module, evaluator_module):
-            for name in rows:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting(name))
-        rng = np.random.default_rng(5)
-        benign = benign_windows([rng.uniform(0, 1, (4, 2)) for i in range(8)], [i * 4 for i in range(8)])
-        attacks = attack_windows([rng.uniform(4, 5, (4, 2)) for c in ["dos", "recon", "dos"]],
-                                 ["dos", "recon", "dos"], [100 + i for i in range(3)])
-        thr = ThresholdModel(threshold=0.5, percentile=99.0, calibration_count=8)
-        evaluate_detector(
-            model, thr, benign, attacks,
-            pr_percentiles=[90.0, 95.0, 99.0],
-        )
-        assert rows == {"encode_batch": 11, "decode_batch": 11}
 
     def test_counts_from_scores_strict_rule(self):
         counts = counts_from_scores(np.array([0.5, 1.0]), np.array([1.0, 2.0]), 1.0)
