@@ -270,10 +270,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rec_values, tml_values = (
-        _comma_floats(text, flag, "[0, 1]", lambda v: 0.0 <= v <= 1.0) if text else DEFAULT_GRID
-        for text, flag in ((args.grid_rec, "--grid-rec"), (args.grid_tml, "--grid-tml"))
-    )
+    grids = []
+    for text, flag in ((args.grid_rec, "--grid-rec"), (args.grid_tml, "--grid-tml")):
+        values = DEFAULT_GRID if text is None else _comma_floats(
+            text, flag, "[0, 1]", lambda v: 0.0 <= v <= 1.0
+        )
+        if not values:
+            raise InvalidConfig(f"{flag}: no values")
+        grids.append(values)
+    rec_values, tml_values = grids
     cfg = _resolve(args)
     table, benign_test, stats, train_windows, triplets = _prepare_training_data(args, cfg)
     windows = build_sequences(normalize(table, stats), cfg.sequence_length, cfg.stride)

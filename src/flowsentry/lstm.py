@@ -2,18 +2,31 @@
 
 Gate blocks are stacked as (input, forget, cell-candidate, output) along the
 first axis of the weight matrices: W is (4H, D) input-to-hidden, U is (4H, H)
-hidden-to-hidden, b is (4H,). Activations are stored time-major, and the gate
-activations gate-major as (L, 4, B, H), so every step reads and writes
-contiguous (B, H) blocks. Forward passes return the cache consumed by the
-matching backward pass.
+hidden-to-hidden, b is (4H,). Hidden and cell states are stored time-major.
+Each step computes its four gates in one contiguous (4, rows, H) scratch
+block, so the step's element-wise work reads and writes contiguous (rows, H)
+blocks. Forward passes return the cache consumed by the matching backward
+pass.
+
+A pass that keeps its cache holds one (B, L, 4H) step buffer, which holds
+three things in turn, each dead once the next exists:
+- every step's input projection, computed for all L steps at once;
+- each step's gate activations, copied over that step's projection once
+  they are computed;
+- in the backward, each step's dL/d(pre), written over that step's gates
+  once they are copied back into the scratch block.
+The weight gradients and dL/d(inputs) then read the buffer B-major, as
+whole-array products. So a layer's cache holds one (B, L, 4H) array, not a
+projection and a gate cache of that size each.
 
 The functions are pure unless handed a ``workspace`` dict. A caller that runs
 one layer again and again (``trainer.train``, batch after batch) passes each
 layer its own dict: the pass then takes its big arrays from it and overwrites
 them instead of allocating new ones, so the previous pass's cache is no
-longer valid. A pass that keeps its cache projects all L steps' inputs at
-once into one (B, L, 4H) buffer, which then holds dL/d(pre) in the backward,
-since the projection is dead once the forward ends.
+longer valid. A backward handed a workspace writes dL/d(pre) into the cache's
+own step buffer and so consumes the cache: a second backward of it raises
+ValueError. Without a workspace, dL/d(pre) is a new array and the cache can
+be backpropagated again.
 
 A pass without a cache (all scoring) holds no such buffer: each step
 projects its own (rows, D) inputs into one (rows, 4H) buffer as the
@@ -113,19 +126,20 @@ def _in_halves(
 
 @dataclass
 class LstmCache:
-    inputs: np.ndarray | None       # (B, L, D); None for all-zero inputs
-    hs: np.ndarray                  # (L+1, B, H), hs[0] = h0
-    cs: np.ndarray | None           # (L+1, B, H), cs[0] = c0
-    gate_blocks: np.ndarray | None  # (L, 4, B, H): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o)
-    tanh_c: np.ndarray | None       # (L, B, H)
+    inputs: np.ndarray | None  # (B, L, D); None for all-zero inputs
+    hs: np.ndarray             # (L+1, B, H), hs[0] = h0
+    cs: np.ndarray | None      # (L+1, B, H), cs[0] = c0
+    # (B, L, 4H): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) of every step;
+    # None without a cache, or once a backward with a workspace consumed it
+    steps: np.ndarray | None
+    tanh_c: np.ndarray | None  # (L, B, H)
 
     @property
     def gates(self) -> np.ndarray | None:
         """A read-only (L, B, 4H) copy of the gate activations."""
-        if self.gate_blocks is None:
+        if self.steps is None:
             return None
-        L, _, B, H = self.gate_blocks.shape
-        gates = self.gate_blocks.transpose(0, 2, 1, 3).reshape(L, B, 4 * H)
+        gates = self.steps.transpose(1, 0, 2).copy()
         gates.flags.writeable = False
         return gates
 
@@ -163,34 +177,34 @@ def lstm_forward(
         (B, L), inputs = inputs, None
     else:
         B, L, _ = inputs.shape
-    x_pre = None
-    if inputs is not None and keep_cache:
-        # the input contribution for all steps; its buffer holds dL/d(pre)
-        # in the backward pass
-        x_pre = np.matmul(inputs, W.T, out=_array(workspace, "pre", (B, L, 4 * H)))
-    # without a cache, slot 0 of gate_blocks and tanh_c is reused by every
-    # step and the one cell state is updated in place
-    slots = L if keep_cache else 1
+    steps = None
+    if keep_cache:
+        # every step's input projection at once; each step's gates then
+        # overwrite its projection, and the backward's dL/d(pre) its gates
+        steps = _array(workspace, "pre", (B, L, 4 * H))
+        if inputs is not None:
+            np.matmul(inputs, W.T, out=steps)
+    # without a cache, slot 0 of tanh_c is reused by every step and the one
+    # cell state is updated in place
     hs = _array(workspace, "hs", (L + 1, B, H))
     cs = _array(workspace, "cs", (L + 1 if keep_cache else 1, B, H))
     hs[0] = 0.0 if h0 is None else h0
     cs[0] = 0.0 if c0 is None else c0
-    gate_blocks = _array(workspace, "gate_blocks", (slots, 4, B, H))
-    tanh_c = _array(workspace, "tanh_c", (slots, B, H))
+    tanh_c = _array(workspace, "tanh_c", (L if keep_cache else 1, B, H))
     WT, UT = W.T, U.T
 
     def run(lo: int, hi: int) -> None:
         pre = np.empty((hi - lo, 4 * H))
         pre_blocks = _blocks(pre)
         # without a cache, each step projects its own inputs into x_t
-        x_t = np.empty((hi - lo, 4 * H)) if inputs is not None and x_pre is None else None
+        x_t = np.empty((hi - lo, 4 * H)) if inputs is not None and steps is None else None
+        g = np.empty((4, hi - lo, H))  # the step's gates, one contiguous block each
         ig = np.empty((hi - lo, H))
         # the bias as a contiguous (4, rows, H) block: numpy adds a broadcast
         # (4, 1, H) operand in H-element inner loops
         b_blocks = np.broadcast_to(b.reshape(4, 1, H), (4, hi - lo, H)).copy()
         for t in range(L):
-            s = t if keep_cache else 0
-            g, tc = gate_blocks[s, :, lo:hi], tanh_c[s, lo:hi]
+            tc = tanh_c[t if keep_cache else 0, lo:hi]
             c_prev, c = (cs[t, lo:hi], cs[t + 1, lo:hi]) if keep_cache else (cs[0, lo:hi],) * 2
             # g = (x + h U^T) + b, in this order: the finite-difference
             # gradient tests sit at their roundoff floor, where reordering
@@ -199,12 +213,14 @@ def lstm_forward(
             if inputs is None:
                 np.add(pre_blocks, b_blocks, out=g)
             else:
-                x = x_pre[lo:hi, t] if x_t is None else np.matmul(inputs[lo:hi, t], WT, out=x_t)
+                x = steps[lo:hi, t] if x_t is None else np.matmul(inputs[lo:hi, t], WT, out=x_t)
                 np.add(_blocks(x), pre_blocks, out=g)
                 np.add(g, b_blocks, out=g)
             sigmoid(g[:2], out=g[:2])
             sigmoid(g[3], out=g[3])
             np.tanh(g[2], out=g[2])
+            if steps is not None:
+                np.copyto(_blocks(steps[lo:hi, t]), g)
             np.multiply(g[0], g[2], out=ig)
             np.multiply(g[1], c_prev, out=c)
             np.add(c, ig, out=c)
@@ -214,7 +230,7 @@ def lstm_forward(
     _in_halves(run, B, workspace, pool)
     if not keep_cache:
         return LstmCache(inputs, hs, None, None, None)
-    return LstmCache(inputs, hs, cs, gate_blocks, tanh_c)
+    return LstmCache(inputs, hs, cs, steps, tanh_c)
 
 
 def lstm_backward(
@@ -236,12 +252,19 @@ def lstm_backward(
     (dW, dU, db, d_inputs, d_h0, d_c0); d_inputs is None when the inputs
     were all zero or ``want_d_inputs`` is false, and dW is then exactly zero.
     """
-    if cache.gate_blocks is None:
-        raise ValueError("the forward pass kept no cache to backpropagate")
-    gate_blocks, tanh_c, cs = cache.gate_blocks, cache.tanh_c, cache.cs
-    L, _, B, H = gate_blocks.shape
-    H4 = 4 * H
-    d_pre = _array(workspace, "pre", (B, L, H4))
+    steps, tanh_c, cs = cache.steps, cache.tanh_c, cache.cs
+    if steps is None:
+        raise ValueError(
+            "the forward pass kept no cache to backpropagate" if cs is None
+            else "a backward with a workspace has already consumed this cache"
+        )
+    B, L, H4 = steps.shape
+    H = H4 // 4
+    if workspace is None:
+        d_pre = np.empty((B, L, H4))
+    else:
+        # dL/d(pre) overwrites the gates, so the cache cannot be read again
+        d_pre, cache.steps = steps, None
     dh = np.zeros((B, H)) if d_h_last is None else d_h_last.copy()
     dc = np.zeros((B, H))
 
@@ -249,6 +272,8 @@ def lstm_backward(
         # dL/d(pre) is a * q gate by gate, in the product order of the
         # per-gate formulas: a holds (dct*g)*i, (dct*c_prev)*f, dct*i and
         # (dh*tanh_c)*o, and q holds 1-i, 1-f, 1-g*g and 1-o
+        g = np.empty((4, hi - lo, H))  # the step's gates, one contiguous block each
+        i, f, gg, o = g
         a = np.empty((4, hi - lo, H))
         q = np.empty((4, hi - lo, H))
         dct = np.empty((hi - lo, H))
@@ -256,8 +281,8 @@ def lstm_backward(
         for t in range(L - 1, -1, -1):
             if d_outputs is not None:
                 np.add(dh_rows, d_outputs[lo:hi, t], out=dh_rows)
-            g, tc, d = gate_blocks[t, :, lo:hi], tanh_c[t, lo:hi], d_pre[lo:hi, t]
-            i, f, gg, o = g
+            tc, d = tanh_c[t, lo:hi], d_pre[lo:hi, t]
+            np.copyto(g, _blocks(steps[lo:hi, t]))
             # dct = dc + (dh*o)*(1 - tc*tc), with a[0] as scratch for dh*o
             np.multiply(tc, tc, out=dct)
             np.subtract(1.0, dct, out=dct)

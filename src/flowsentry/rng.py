@@ -4,6 +4,8 @@ Every component draws from its own named sub-stream derived from one root
 seed, so component-level determinism composes across the pipeline.
 """
 
+from __future__ import annotations
+
 import hashlib
 
 import numpy as np

@@ -303,6 +303,8 @@ class TestOnePass:
     (["sweep", "--grid-tml", "0.5,,1.5"], "--grid-tml: 1.5 is outside [0, 1]"),
     (["sweep", "--grid-rec", "0,inf"], "--grid-rec: must be a finite number, got 'inf'"),
     (["sweep", "--grid-rec=-0.5"], "--grid-rec: -0.5 is outside [0, 1]"),
+    (["sweep", "--grid-rec", ","], "--grid-rec: no values"),
+    (["sweep", "--grid-tml", " , "], "--grid-tml: no values"),
 ])
 def test_list_flag_rejected_before_any_input_is_read(tmp_path, capsys, argv, message):
     # no input exists: a flag checked after reading would report the missing file

@@ -49,9 +49,9 @@ def test_used_workspace_gives_the_bits_of_a_fresh_call(
     loss_and_grads(model, *X, train_cfg, workspace=workspace)
     layers = {f"{side}{k}" for side in ("enc", "dec") for k in range(num_layers)}
     assert set(workspace) == layers
-    # the forward's input projection and the backward's dL/d(pre) share the
-    # "pre" buffer
-    names = {"pre", "hs", "cs", "gate_blocks", "tanh_c"}
+    # the forward's input projection, the gates and the backward's
+    # dL/d(pre) share the "pre" buffer
+    names = {"pre", "hs", "cs", "tanh_c"}
     assert all(set(held) == names for held in workspace.values())
     buffers = {(layer, name): buf for layer, held in workspace.items() for name, buf in held.items()}
     parts, grads = loss_and_grads(model, *Y, train_cfg, workspace=workspace)
@@ -85,17 +85,47 @@ def test_two_trains_in_one_process_write_identical_files(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_gate_blocks_are_contiguous():
+def test_step_buffer_holds_each_steps_gates():
     rng = np.random.default_rng(5)
     W, U, b = weights(rng, 3, 6)
     workspace = {}
     for B in (7, 4):  # the second pass uses the leading part of the buffers
-        cache = lstm_forward(W, U, b, rng.uniform(0, 1, (B, 5, 3)), workspace=workspace)
-        assert cache.gate_blocks.shape == (5, 4, B, 6)
+        X = rng.uniform(0, 1, (B, 5, 3))
+        cache = lstm_forward(W, U, b, X, workspace=workspace)
+        ref = ref_forward(W, U, b, X)
+        assert cache.steps.shape == (B, 5, 24)
         for t in range(5):
-            for k in range(4):
-                assert cache.gate_blocks[t, k].flags.c_contiguous
+            for k, name in enumerate(("gi", "gf", "gg", "go")):
+                np.testing.assert_array_equal(cache.steps[:, t, k * 6 : (k + 1) * 6],
+                                              ref[name][:, t])
         assert not cache.gates.flags.writeable
+
+
+def test_joint_batch_workspace_at_benchmark_shape():
+    # B 64, L 25, D 8, H 64: 3B = 192 encoder rows, 64 decoder rows
+    model = init_model(ModelConfig(input_dim=8, hidden_dim=64, seed=1))
+    rng = np.random.default_rng(64)
+    workspace = {}
+    for _ in range(2):
+        loss_and_grads(model, *triplet_batch(rng, 64, 25, 8), TrainConfig(), workspace=workspace)
+    held = sum(buf.nbytes for layer in workspace.values() for buf in layer.values())
+    # one (B, L, 4H) step buffer a layer: 22.1 MiB, where a separate gate
+    # cache took 34.6
+    assert held <= 23 * 2**20
+
+
+def test_backward_with_a_workspace_consumes_its_cache():
+    rng = np.random.default_rng(6)
+    W, U, b = weights(rng, 3, 6)
+    workspace = {}
+    cache = lstm_forward(W, U, b, rng.uniform(0, 1, (4, 5, 3)), workspace=workspace)
+    d_out = rng.standard_normal((4, 5, 6))
+    lstm_backward(W, U, cache, d_out, workspace=workspace)
+    assert cache.steps is None and cache.gates is None
+    with pytest.raises(ValueError, match="consumed"):
+        lstm_backward(W, U, cache, d_out, workspace=workspace)
+    with pytest.raises(ValueError, match="consumed"):
+        lstm_backward(W, U, cache, d_out)
 
 
 def test_training_memory_does_not_grow_with_batches():
@@ -158,5 +188,5 @@ def test_cache_free_pass_matches_reference_cell_at_scoring_shape():
     W, U, b = weights(rng, D, H)
     X = rng.uniform(0, 1, (B, L, D))
     free = lstm_forward(W, U, b, X, keep_cache=False)
-    assert free.gate_blocks is None and free.gates is None
+    assert free.steps is None and free.gates is None
     np.testing.assert_array_equal(free.hs.transpose(1, 0, 2), ref_forward(W, U, b, X)["hs"])
